@@ -34,6 +34,7 @@
 #include "sorcer/invoke.h"
 #include "sorcer/jobber.h"
 #include "sorcer/spacer.h"
+#include "util/rng.h"
 #include "util/strings.h"
 
 // Counting allocator: every global new/delete bumps a relaxed counter so the
@@ -261,19 +262,44 @@ void run_marshal_section(bool smoke) {
   reply.put("sensor/unit", std::string("celsius"));
   reply.put("sensor/stale", false);
 
+  // Series-bearing payloads carry what the historian really ships: 1 Hz
+  // microsecond timestamps, full-mantissa sensor noise, good-quality codes.
+  util::Rng noise(5);
   ServiceContext batch("append-batch");
   {
     std::vector<double> ts(64), vals(64), quals(64);
     for (std::size_t i = 0; i < 64; ++i) {
-      ts[i] = 1.7e15 + 1e4 * static_cast<double>(i);
-      vals[i] = 20.0 + 0.01 * static_cast<double>(i);
-      quals[i] = 1.0;
+      ts[i] = 1.7e15 + 1e6 * static_cast<double>(i);
+      vals[i] = 21.0 + noise.gaussian(0.0, 0.15);
+      quals[i] = 0.0;
     }
     batch.put("hist/sensor", std::string("building-3/floor-2/hvac/temp-11"),
               PathDirection::kIn);
     batch.put("hist/timestamps", std::move(ts), PathDirection::kIn);
     batch.put("hist/values", std::move(vals), PathDirection::kIn);
     batch.put("hist/qualities", std::move(quals), PathDirection::kIn);
+  }
+
+  // A historian downsample reply: bucket starts on a fixed 60 s grid and
+  // bucket means, plus the request fields that ride back with it.
+  ServiceContext downsample("downsample-reply");
+  {
+    std::vector<double> ts(256), means(256);
+    for (std::size_t i = 0; i < 256; ++i) {
+      ts[i] = 3.6e9 + 6e7 * static_cast<double>(i);
+      means[i] = 21.0 + 0.5 * std::sin(static_cast<double>(i) / 20.0) +
+                 noise.gaussian(0.0, 0.02);
+    }
+    downsample.put("hist/sensor",
+                   std::string("building-3/floor-2/hvac/temp-11"),
+                   PathDirection::kIn);
+    downsample.put("hist/from", std::int64_t{3600000000}, PathDirection::kIn);
+    downsample.put("hist/to", std::int64_t{18960000000}, PathDirection::kIn);
+    downsample.put("hist/points", std::int64_t{256}, PathDirection::kIn);
+    downsample.put("hist/timestamps", std::move(ts), PathDirection::kOut);
+    downsample.put("hist/values", std::move(means), PathDirection::kOut);
+    downsample.put("hist/source", std::string("tier60s"), PathDirection::kOut);
+    downsample.put("hist/truncated", false, PathDirection::kOut);
   }
 
   struct Row {
@@ -284,6 +310,8 @@ void run_marshal_section(bool smoke) {
   const Row bench_rows[] = {{"fan-out task (4 entries)", &fanout, true},
                             {"sensor-read reply (6 entries)", &reply, false},
                             {"appendBatch (3x64-double series)", &batch,
+                             false},
+                            {"downsample reply (256 points)", &downsample,
                              false}};
 
   std::vector<std::vector<std::string>> rows;
@@ -317,8 +345,12 @@ void run_marshal_section(bool smoke) {
   std::puts("Expected shape: warm flat calls intern every path to a 1-byte "
             "id and reuse buffer/context storage, so allocs/call drop to ~0 "
             "and small-payload bytes shrink well past the 64B->28B envelope "
-            "saving; the series row narrows in ns (raw 8-byte copies "
-            "dominate both codecs) but still wins on bytes.\n");
+            "saving. Series rows win most on bytes: the flat codec packs "
+            "timestamp and quality columns as delta-of-delta integers "
+            "(~1 bit/point) and values as Gorilla XOR floats, against 8 raw "
+            "bytes per point in the legacy envelope; their ns ratio is "
+            "smaller because the bit coding costs more per point than a "
+            "raw copy.\n");
 }
 
 }  // namespace

@@ -1,11 +1,16 @@
 #include "hist/block.h"
 
-#include <bit>
-#include <cstring>
 #include <limits>
+
+#include "util/gorilla.h"
 
 namespace sensorcer::hist {
 namespace {
+
+using util::gorilla::BitReader;
+using util::gorilla::BitWriter;
+using util::gorilla::bits_double;
+using util::gorilla::double_bits;
 
 // Serialized layout (little-endian, byte-addressed):
 //
@@ -19,22 +24,9 @@ namespace {
 //   [12 + stream_bytes] quality    (2 bits/reading, only if flags bit0)
 //   tail: 64-byte footer           (see write_footer / read_footer)
 //
-// Bitstream grammar, per reading after the first (which is stored raw as
-// 64-bit timestamp + 64-bit value bits):
-//
-//   timestamp: dod = (ts - prev_ts) - prev_delta
-//     '0'                    dod == 0
-//     '10'    + 7 bits       dod in [-63, 64]        (stored dod + 63)
-//     '110'   + 9 bits       dod in [-255, 256]      (stored dod + 255)
-//     '1110'  + 12 bits      dod in [-2047, 2048]    (stored dod + 2047)
-//     '11110' + 32 bits      dod fits int32          (two's complement)
-//     '11111' + 64 bits      anything                (two's complement)
-//
-//   value: x = bits(value) XOR bits(prev_value)
-//     '0'                    x == 0
-//     '10'    + prev window  meaningful bits of x fit the previous
-//                            leading/length window (stored in that window)
-//     '11'    + 6b leading + 6b (meaningful - 1) + meaningful bits of x
+// Bitstream: the first reading is stored raw (64-bit timestamp + 64-bit
+// value bits); every later one appends its timestamp's delta-of-delta class
+// and then its value's XOR code, both from util/gorilla.h.
 constexpr std::uint8_t kMagic = 0x5B;
 constexpr std::uint8_t kVersion = 1;
 constexpr std::uint8_t kFlagQuality = 0x01;
@@ -68,123 +60,6 @@ std::uint64_t get_u64(const std::uint8_t* p) {
   return v;
 }
 
-std::uint64_t double_bits(double d) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &d, sizeof(bits));
-  return bits;
-}
-
-double bits_double(std::uint64_t bits) {
-  double d = 0.0;
-  std::memcpy(&d, &bits, sizeof(d));
-  return d;
-}
-
-/// MSB-first bit appender over a growing byte vector.
-class BitWriter {
- public:
-  /// Append the low `bits` bits of `v`, most-significant first.
-  void put(std::uint64_t v, unsigned bits) {
-    while (bits > 0) {
-      unsigned take = 8 - fill_;
-      if (take > bits) take = bits;
-      std::uint64_t chunk =
-          (v >> (bits - take)) & ((std::uint64_t{1} << take) - 1);
-      cur_ = static_cast<std::uint8_t>((cur_ << take) | chunk);
-      fill_ += take;
-      bits -= take;
-      if (fill_ == 8) {
-        buf_.push_back(cur_);
-        cur_ = 0;
-        fill_ = 0;
-      }
-    }
-  }
-
-  /// Pad the final partial byte with zero bits and return the buffer.
-  std::vector<std::uint8_t> take() {
-    if (fill_ > 0) {
-      buf_.push_back(static_cast<std::uint8_t>(cur_ << (8 - fill_)));
-      cur_ = 0;
-      fill_ = 0;
-    }
-    return std::move(buf_);
-  }
-
- private:
-  std::vector<std::uint8_t> buf_;
-  std::uint8_t cur_ = 0;
-  unsigned fill_ = 0;
-};
-
-/// Bounds-checked MSB-first bit reader over a byte span.
-class BitReader {
- public:
-  BitReader(const std::uint8_t* data, std::size_t size, std::size_t bit_pos)
-      : data_(data), bit_limit_(size * 8), bit_pos_(bit_pos) {}
-
-  /// Read `bits` bits into `out`; false (without advancing past the end)
-  /// when the stream is exhausted.
-  bool get(unsigned bits, std::uint64_t& out) {
-    if (bit_pos_ + bits > bit_limit_) return false;
-    std::uint64_t v = 0;
-    unsigned remaining = bits;
-    while (remaining > 0) {
-      std::size_t byte = bit_pos_ >> 3;
-      unsigned offset = static_cast<unsigned>(bit_pos_ & 7);
-      unsigned take = 8 - offset;
-      if (take > remaining) take = remaining;
-      unsigned shift = 8 - offset - take;
-      std::uint64_t chunk =
-          (static_cast<std::uint64_t>(data_[byte]) >> shift) &
-          ((std::uint64_t{1} << take) - 1);
-      v = (v << take) | chunk;
-      bit_pos_ += take;
-      remaining -= take;
-    }
-    out = v;
-    return true;
-  }
-
-  [[nodiscard]] std::size_t bit_pos() const { return bit_pos_; }
-
- private:
-  const std::uint8_t* data_;
-  std::size_t bit_limit_;
-  std::size_t bit_pos_;
-};
-
-/// Sign-extend the low `bits` bits of `v`.
-std::int64_t sign_extend(std::uint64_t v, unsigned bits) {
-  if (bits >= 64) return static_cast<std::int64_t>(v);
-  std::uint64_t sign = std::uint64_t{1} << (bits - 1);
-  return static_cast<std::int64_t>((v ^ sign) - sign);
-}
-
-void encode_dod(BitWriter& w, std::int64_t dod) {
-  if (dod == 0) {
-    w.put(0, 1);
-  } else if (dod >= -63 && dod <= 64) {
-    w.put(0b10, 2);
-    w.put(static_cast<std::uint64_t>(dod + 63), 7);
-  } else if (dod >= -255 && dod <= 256) {
-    w.put(0b110, 3);
-    w.put(static_cast<std::uint64_t>(dod + 255), 9);
-  } else if (dod >= -2047 && dod <= 2048) {
-    w.put(0b1110, 4);
-    w.put(static_cast<std::uint64_t>(dod + 2047), 12);
-  } else if (dod >= std::numeric_limits<std::int32_t>::min() &&
-             dod <= std::numeric_limits<std::int32_t>::max()) {
-    w.put(0b11110, 5);
-    w.put(static_cast<std::uint64_t>(static_cast<std::uint32_t>(
-              static_cast<std::int32_t>(dod))),
-          32);
-  } else {
-    w.put(0b11111, 5);
-    w.put(static_cast<std::uint64_t>(dod), 64);
-  }
-}
-
 }  // namespace
 
 std::shared_ptr<const SealedBlock> SealedBlock::seal(
@@ -193,13 +68,11 @@ std::shared_ptr<const SealedBlock> SealedBlock::seal(
     return nullptr;
   }
 
-  BitWriter stream;
+  std::vector<std::uint8_t> stream_bytes;
+  BitWriter stream(stream_bytes);
   util::SimTime prev_ts = 0;
   util::SimDuration prev_delta = 0;
-  std::uint64_t prev_bits = 0;
-  unsigned prev_leading = 0;
-  unsigned prev_meaningful = 0;
-  bool window_valid = false;
+  util::gorilla::XorState values;
   bool any_non_good = false;
 
   Footer footer;
@@ -214,39 +87,13 @@ std::shared_ptr<const SealedBlock> SealedBlock::seal(
       stream.put(static_cast<std::uint64_t>(r.timestamp), 64);
       stream.put(vbits, 64);
       prev_ts = r.timestamp;
-      prev_delta = 0;
-      prev_bits = vbits;
+      values.prev_bits = vbits;
     } else {
       const util::SimDuration delta = r.timestamp - prev_ts;
-      encode_dod(stream, delta - prev_delta);
+      util::gorilla::put_dod(stream, delta - prev_delta);
       prev_delta = delta;
       prev_ts = r.timestamp;
-
-      const std::uint64_t x = vbits ^ prev_bits;
-      if (x == 0) {
-        stream.put(0, 1);
-      } else {
-        unsigned leading = static_cast<unsigned>(std::countl_zero(x));
-        unsigned trailing = static_cast<unsigned>(std::countr_zero(x));
-        if (leading > 63) leading = 63;
-        if (window_valid && leading >= prev_leading &&
-            trailing >= (64 - prev_leading - prev_meaningful)) {
-          // Fits the previous window: '10' + meaningful bits in that window.
-          stream.put(0b10, 2);
-          stream.put(x >> (64 - prev_leading - prev_meaningful),
-                     prev_meaningful);
-        } else {
-          unsigned meaningful = 64 - leading - trailing;
-          stream.put(0b11, 2);
-          stream.put(leading, 6);
-          stream.put(meaningful - 1, 6);
-          stream.put(x >> trailing, meaningful);
-          prev_leading = leading;
-          prev_meaningful = meaningful;
-          window_valid = true;
-        }
-      }
-      prev_bits = vbits;
+      util::gorilla::put_xor(stream, values, vbits);
     }
 
     if (r.quality != sensor::Quality::kGood) any_non_good = true;
@@ -260,7 +107,7 @@ std::shared_ptr<const SealedBlock> SealedBlock::seal(
     }
   }
 
-  std::vector<std::uint8_t> stream_bytes = stream.take();
+  stream.flush();
 
   auto block = std::shared_ptr<SealedBlock>(new SealedBlock());
   std::vector<std::uint8_t>& out = block->bytes_;
@@ -276,12 +123,11 @@ std::shared_ptr<const SealedBlock> SealedBlock::seal(
   out.insert(out.end(), stream_bytes.begin(), stream_bytes.end());
 
   if (any_non_good) {
-    BitWriter qw;
+    BitWriter qw(out);
     for (const sensor::Reading& r : readings) {
       qw.put(static_cast<std::uint64_t>(r.quality) & 0x3, 2);
     }
-    std::vector<std::uint8_t> qbytes = qw.take();
-    out.insert(out.end(), qbytes.begin(), qbytes.end());
+    qw.flush();
   }
 
   // 64-byte footer.
@@ -376,108 +222,28 @@ bool SealedBlock::Cursor::next(sensor::Reading& out) {
 
   BitReader stream(block_.bytes_.data() + kHeaderBytes, block_.stream_bytes_,
                    bit_pos_);
-  std::uint64_t bits = 0;
-
   if (index_ == 0) {
     std::uint64_t raw_ts = 0;
-    if (!stream.get(64, raw_ts) || !stream.get(64, bits)) {
+    if (!stream.get(64, raw_ts) || !stream.get(64, values_.prev_bits)) {
       truncated_ = true;
       return false;
     }
     prev_ts_ = static_cast<util::SimTime>(raw_ts);
     prev_delta_ = 0;
-    prev_value_bits_ = bits;
   } else {
-    // Timestamp: prefix-coded delta-of-delta class.
     std::int64_t dod = 0;
-    std::uint64_t b = 0;
-    if (!stream.get(1, b)) {
+    if (!util::gorilla::get_dod(stream, dod) ||
+        !util::gorilla::get_xor(stream, values_)) {
       truncated_ = true;
       return false;
     }
-    if (b == 1) {
-      unsigned klass = 1;
-      while (klass < 5) {
-        if (!stream.get(1, b)) {
-          truncated_ = true;
-          return false;
-        }
-        if (b == 0) break;
-        ++klass;
-      }
-      bool ok = true;
-      switch (klass) {
-        case 1:
-          ok = stream.get(7, bits);
-          dod = static_cast<std::int64_t>(bits) - 63;
-          break;
-        case 2:
-          ok = stream.get(9, bits);
-          dod = static_cast<std::int64_t>(bits) - 255;
-          break;
-        case 3:
-          ok = stream.get(12, bits);
-          dod = static_cast<std::int64_t>(bits) - 2047;
-          break;
-        case 4:
-          ok = stream.get(32, bits);
-          dod = sign_extend(bits, 32);
-          break;
-        default:
-          ok = stream.get(64, bits);
-          dod = static_cast<std::int64_t>(bits);
-          break;
-      }
-      if (!ok) {
-        truncated_ = true;
-        return false;
-      }
-    }
-    prev_delta_ += dod;
-    prev_ts_ += prev_delta_;
-
-    // Value: XOR against the previous value's bits.
-    if (!stream.get(1, b)) {
-      truncated_ = true;
-      return false;
-    }
-    if (b == 1) {
-      if (!stream.get(1, b)) {
-        truncated_ = true;
-        return false;
-      }
-      std::uint64_t x = 0;
-      if (b == 0) {
-        // Previous window.
-        if (!window_valid_ || prev_meaningful_ == 0 ||
-            !stream.get(prev_meaningful_, bits)) {
-          truncated_ = true;
-          return false;
-        }
-        x = bits << (64 - prev_leading_ - prev_meaningful_);
-      } else {
-        std::uint64_t leading = 0;
-        std::uint64_t mlen = 0;
-        if (!stream.get(6, leading) || !stream.get(6, mlen)) {
-          truncated_ = true;
-          return false;
-        }
-        unsigned meaningful = static_cast<unsigned>(mlen) + 1;
-        if (leading + meaningful > 64 || !stream.get(meaningful, bits)) {
-          truncated_ = true;
-          return false;
-        }
-        prev_leading_ = static_cast<unsigned>(leading);
-        prev_meaningful_ = meaningful;
-        window_valid_ = true;
-        x = bits << (64 - prev_leading_ - prev_meaningful_);
-      }
-      prev_value_bits_ ^= x;
-    }
+    // Wrapping adds: a corrupted stream may carry any dod.
+    prev_delta_ = util::gorilla::wrapping_add(prev_delta_, dod);
+    prev_ts_ = util::gorilla::wrapping_add(prev_ts_, prev_delta_);
   }
 
   out.timestamp = prev_ts_;
-  out.value = bits_double(prev_value_bits_);
+  out.value = bits_double(values_.prev_bits);
   out.sequence = 0;
   out.quality = sensor::Quality::kGood;
   if (block_.quality_offset_ != 0) {

@@ -31,6 +31,7 @@
 
 #include "hist/rollup.h"
 #include "sensor/reading.h"
+#include "util/gorilla.h"
 #include "util/status.h"
 #include "util/sim_time.h"
 
@@ -85,10 +86,7 @@ class SealedBlock {
     std::uint32_t index_ = 0;
     util::SimTime prev_ts_ = 0;
     util::SimDuration prev_delta_ = 0;
-    std::uint64_t prev_value_bits_ = 0;
-    unsigned prev_leading_ = 0;
-    unsigned prev_meaningful_ = 0;
-    bool window_valid_ = false;
+    util::gorilla::XorState values_;
     bool truncated_ = false;
   };
 

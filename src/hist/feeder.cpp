@@ -170,8 +170,8 @@ std::size_t HistorianFeeder::flush() {
   // calls as one scatter-gather batch: K chunks cost ~one round-trip on the
   // wire, not K. The historian's timestamp dedup makes any replay of a
   // chunk whose response was lost idempotent. Columns are moved into the
-  // context, where the shared wire codec (sorcer/codec.h) encodes them as
-  // raw 8-byte runs with interned batch paths — the feeder never touches
+  // context, where the shared wire codec (sorcer/codec.h) packs them as
+  // series columns with interned batch paths — the feeder never touches
   // serialization itself.
   std::vector<sorcer::ExertionPtr> chunks;
   std::vector<std::pair<std::size_t, std::size_t>> ranges;  // offset, count

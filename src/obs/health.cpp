@@ -144,6 +144,28 @@ std::string render_federation_health(const Snapshot& snap) {
                    util::format("%.1f", static_cast<double>(arena) /
                                             static_cast<double>(wire_calls))});
   }
+  // A desync is a path-intern stream that lost a definition: the call fails
+  // and is retried with a restarted stream, so it otherwise surfaces only as
+  // retries and flow requeues.
+  rows.push_back(
+      {"wire", "codec desyncs request / response",
+       std::to_string(snap.counter_or("invoke.codec_desyncs.request")) +
+           " / " +
+           std::to_string(snap.counter_or("invoke.codec_desyncs.response"))});
+  {
+    // Packed series columns (sorcer/codec.h): wire bytes over the raw
+    // 8-byte-per-element layout they replace.
+    const auto raw = snap.counter_or("invoke.series_raw_bytes");
+    const auto wire = snap.counter_or("invoke.series_wire_bytes");
+    rows.push_back(
+        {"wire", "series column ratio",
+         raw == 0 ? std::string("n/a")
+                  : util::format("%.3f (%llu/%llu B)",
+                                 static_cast<double>(wire) /
+                                     static_cast<double>(raw),
+                                 static_cast<unsigned long long>(wire),
+                                 static_cast<unsigned long long>(raw))});
+  }
   rows.push_back({"collection", "CSP collection latency",
                   latency_row(snap, "csp.collection_latency_us")});
   rows.push_back({"mailbox", "discarded / expired",

@@ -1,10 +1,13 @@
 #include "sorcer/codec.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <map>
 #include <utility>
 
 #include "obs/metrics.h"
+#include "util/gorilla.h"
 
 namespace sensorcer::sorcer {
 
@@ -16,6 +19,8 @@ struct CodecMetrics {
   obs::Counter& arena_bytes;
   obs::Counter& pool_acquires;
   obs::Counter& pool_reuse;
+  obs::Counter& series_raw_bytes;
+  obs::Counter& series_wire_bytes;
 };
 
 CodecMetrics& codec_metrics() {
@@ -23,7 +28,9 @@ CodecMetrics& codec_metrics() {
                         obs::metrics().counter("invoke.intern_misses"),
                         obs::metrics().counter("invoke.arena_bytes"),
                         obs::metrics().counter("invoke.pool_acquires"),
-                        obs::metrics().counter("invoke.pool_reuse")};
+                        obs::metrics().counter("invoke.pool_reuse"),
+                        obs::metrics().counter("invoke.series_raw_bytes"),
+                        obs::metrics().counter("invoke.series_wire_bytes")};
   return m;
 }
 
@@ -111,9 +118,164 @@ enum : std::uint8_t {
   kTagSeries = 5,
 };
 
-void encode_value(WireBuffer& out, const ContextValue& value) {
+// --- series column ----------------------------------------------------------
+//
+//   [varint n][u8 mode][body]
+//     kSeriesRaw: 8n raw LE bytes (also the only mode for n == 0)
+//     kSeriesDod: zigzag varint first value, then one delta-of-delta class
+//                 per later element (util/gorilla.h), zero-padded to a byte
+//     kSeriesXor: 64 raw bits of the first value, then one XOR code per
+//                 later element, zero-padded to a byte
+//
+// dod is chosen when every element is an exact integer within +-2^53 and
+// none is -0.0 (timestamps, counts, quality codes); the bound keeps every
+// delta and dod inside int64. Any other column tries XOR. Either packed body
+// falls back to raw as soon as it would not be smaller.
+
+enum : std::uint8_t { kSeriesRaw = 0, kSeriesDod = 1, kSeriesXor = 2 };
+
+constexpr std::int64_t kMaxExactInt = std::int64_t{1} << 53;
+
+bool exact_int(double d) {
+  constexpr auto kLimit = static_cast<double>(kMaxExactInt);
+  if (!(d >= -kLimit && d <= kLimit)) return false;  // NaN too
+  const auto i = static_cast<std::int64_t>(d);
+  return static_cast<double>(i) == d && !(i == 0 && std::signbit(d));
+}
+
+/// Append the dod body of an all-exact_int column; false (with `out` partly
+/// written) once it reaches `limit` bytes past `body_at`.
+bool put_dod_body(WireBuffer& out, const std::vector<double>& v,
+                  std::size_t body_at, std::size_t limit) {
+  auto prev = static_cast<std::int64_t>(v[0]);
+  put_varint(out, zigzag(prev));
+  util::gorilla::BitWriter w(out);
+  std::int64_t prev_delta = 0;
+  for (std::size_t i = 1; i < v.size(); ++i) {
+    const auto cur = static_cast<std::int64_t>(v[i]);
+    const std::int64_t delta = cur - prev;
+    util::gorilla::put_dod(w, delta - prev_delta);
+    prev_delta = delta;
+    prev = cur;
+    if (out.size() - body_at >= limit) return false;
+  }
+  w.flush();
+  return out.size() - body_at < limit;
+}
+
+bool put_xor_body(WireBuffer& out, const std::vector<double>& v,
+                  std::size_t body_at, std::size_t limit) {
+  util::gorilla::BitWriter w(out);
+  util::gorilla::XorState state;
+  state.prev_bits = util::gorilla::double_bits(v[0]);
+  w.put(state.prev_bits, 64);
+  for (std::size_t i = 1; i < v.size(); ++i) {
+    util::gorilla::put_xor(w, state, util::gorilla::double_bits(v[i]));
+    if (out.size() - body_at >= limit) return false;
+  }
+  w.flush();
+  return out.size() - body_at < limit;
+}
+
+void put_series(WireBuffer& out, const std::vector<double>& v) {
+  put_varint(out, v.size());
+  const std::size_t mode_at = out.size();
+  out.push_back(kSeriesRaw);
+  const std::size_t body_at = out.size();
+  const std::size_t raw_bytes = 8 * v.size();
+  if (!v.empty()) {
+    const bool ints = std::all_of(v.begin(), v.end(), exact_int);
+    const bool packed = ints ? put_dod_body(out, v, body_at, raw_bytes)
+                             : put_xor_body(out, v, body_at, raw_bytes);
+    if (packed) {
+      out[mode_at] = ints ? kSeriesDod : kSeriesXor;
+    } else {
+      out.resize(body_at);
+      for (double d : v) put_double(out, d);
+    }
+  }
+  codec_metrics().series_raw_bytes.add(raw_bytes);
+  codec_metrics().series_wire_bytes.add(out.size() - mode_at);
+}
+
+/// Decode a series column into `v`, reusing its capacity. `packed_series`
+/// must match the encoder's (see encode_value).
+bool get_series(Reader& r, bool packed_series, std::vector<double>& v) {
+  std::uint64_t n = 0;
+  if (!r.varint(n)) return false;
+  std::uint8_t mode = kSeriesRaw;
+  if (packed_series) {
+    if (!r.need(1)) return false;
+    mode = *r.p++;
+  }
+  // Reject a count the body cannot hold before reserving anything: raw
+  // needs 8 bytes per element; dod at least one varint byte then one bit per
+  // later element; XOR 64 bits then one bit per later element.
+  const auto avail = static_cast<std::uint64_t>(r.end - r.p);
+  switch (mode) {
+    case kSeriesRaw:
+      if (n > avail / 8) return false;
+      break;
+    case kSeriesDod:
+      if (n > 0 && (avail == 0 || n - 1 > (avail - 1) * 8)) return false;
+      break;
+    case kSeriesXor:
+      if (n > 0 && (avail < 8 || n - 1 > (avail - 8) * 8)) return false;
+      break;
+    default:
+      return false;
+  }
+  v.clear();
+  v.reserve(n);
+  if (n == 0) return true;
+  if (mode == kSeriesRaw) {
+    for (std::uint64_t i = 0; i < n; ++i) {
+      double d = 0;
+      (void)r.read_double(d);
+      v.push_back(d);
+    }
+    return true;
+  }
+  if (mode == kSeriesDod) {
+    std::uint64_t first = 0;
+    if (!r.varint(first)) return false;
+    std::int64_t prev = unzigzag(first);
+    util::gorilla::BitReader bits(r.p, static_cast<std::size_t>(r.end - r.p));
+    std::int64_t prev_delta = 0;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      if (i > 0) {
+        std::int64_t dod = 0;
+        if (!util::gorilla::get_dod(bits, dod)) return false;
+        prev_delta = util::gorilla::wrapping_add(prev_delta, dod);
+        prev = util::gorilla::wrapping_add(prev, prev_delta);
+      }
+      // The encoder picks dod only for values within +-2^53; anything else
+      // is corruption.
+      if (prev < -kMaxExactInt || prev > kMaxExactInt) return false;
+      v.push_back(static_cast<double>(prev));
+    }
+    r.p += bits.bytes_used();
+    return true;
+  }
+  util::gorilla::BitReader bits(r.p, static_cast<std::size_t>(r.end - r.p));
+  util::gorilla::XorState state;
+  if (!bits.get(64, state.prev_bits)) return false;
+  v.push_back(util::gorilla::bits_double(state.prev_bits));
+  for (std::uint64_t i = 1; i < n; ++i) {
+    if (!util::gorilla::get_xor(bits, state)) return false;
+    v.push_back(util::gorilla::bits_double(state.prev_bits));
+  }
+  r.p += bits.bytes_used();
+  return true;
+}
+
+/// `packed_series` selects the flat codec's series column; the legacy
+/// envelope keeps raw `varint n + 8n` series.
+void encode_value(WireBuffer& out, const ContextValue& value,
+                  bool packed_series) {
   struct Visitor {
     WireBuffer& out;
+    bool packed_series;
     void operator()(std::monostate) const {}
     void operator()(double d) const { put_double(out, d); }
     void operator()(std::int64_t i) const { put_varint(out, zigzag(i)); }
@@ -123,11 +285,15 @@ void encode_value(WireBuffer& out, const ContextValue& value) {
       put_bytes(out, s.data(), s.size());
     }
     void operator()(const std::vector<double>& v) const {
+      if (packed_series) {
+        put_series(out, v);
+        return;
+      }
       put_varint(out, v.size());
       for (double d : v) put_double(out, d);
     }
   };
-  std::visit(Visitor{out}, value);
+  std::visit(Visitor{out, packed_series}, value);
 }
 
 std::uint8_t tag_of(const ContextValue& value) {
@@ -136,7 +302,9 @@ std::uint8_t tag_of(const ContextValue& value) {
 
 /// Decode one value of `tag` into `slot`, reusing the slot's existing
 /// alternative (string / series capacity) when the type matches.
-bool decode_value(Reader& r, std::uint8_t tag, ContextValue& slot) {
+/// `packed_series` must match the encoder's (see encode_value).
+bool decode_value(Reader& r, std::uint8_t tag, ContextValue& slot,
+                  bool packed_series) {
   switch (tag) {
     case kTagNone:
       slot = std::monostate{};
@@ -171,22 +339,12 @@ bool decode_value(Reader& r, std::uint8_t tag, ContextValue& slot) {
       return true;
     }
     case kTagSeries: {
-      std::uint64_t n = 0;
-      if (!r.varint(n)) return false;
-      if (!r.need(8 * n)) return false;
       auto* v = std::get_if<std::vector<double>>(&slot);
       if (v == nullptr) {
         slot = std::vector<double>{};
         v = std::get_if<std::vector<double>>(&slot);
       }
-      v->clear();  // reuse capacity
-      v->reserve(n);
-      for (std::uint64_t i = 0; i < n; ++i) {
-        double d = 0;
-        (void)r.read_double(d);
-        v->push_back(d);
-      }
-      return true;
+      return get_series(r, packed_series, *v);
     }
     default:
       return false;
@@ -303,7 +461,7 @@ void encode_context(const ServiceContext& ctx, PathInternTable& interner,
     }
     out.push_back(static_cast<std::uint8_t>(
         tag_of(e.value) | (static_cast<std::uint8_t>(e.direction) << 4)));
-    encode_value(out, e.value);
+    encode_value(out, e.value, /*packed_series=*/true);
   }
 }
 
@@ -349,7 +507,9 @@ util::Status decode_context(const std::uint8_t* data, std::size_t size,
     const std::uint8_t tag = meta & 0x0f;
     const auto dir = static_cast<PathDirection>((meta >> 4) & 0x03);
     ContextValue& slot = into.reload_slot(path, dir);
-    if (!decode_value(r, tag, slot)) return truncated();
+    if (!decode_value(r, tag, slot, /*packed_series=*/true)) {
+      return truncated();
+    }
   }
   into.reload_end();
   return util::Status::ok();
@@ -368,7 +528,7 @@ void encode_context_legacy(const ServiceContext& ctx, WireBuffer& out) {
     put_bytes(out, e.path.data(), e.path.size());
     out.push_back(static_cast<std::uint8_t>(
         tag_of(e.value) | (static_cast<std::uint8_t>(e.direction) << 4)));
-    encode_value(out, e.value);
+    encode_value(out, e.value, /*packed_series=*/false);
   }
 }
 
@@ -399,7 +559,9 @@ util::Status decode_context_legacy(const std::uint8_t* data, std::size_t size,
     const auto dir = static_cast<PathDirection>((meta >> 4) & 0x03);
     Slot& slot = staged[std::string(path)];
     slot.direction = dir;
-    if (!decode_value(r, tag, slot.value)) return truncated();
+    if (!decode_value(r, tag, slot.value, /*packed_series=*/false)) {
+      return truncated();
+    }
   }
   into.reload_begin(name);
   for (auto& [path, slot] : staged) {

@@ -18,7 +18,11 @@
 //     [u8 meta = type_tag | direction << 4]
 //     [value payload]                        — type-tagged column encoding:
 //       double: 8 raw LE bytes     int64: zigzag varint   bool: 1 byte
-//       string: varint len + bytes series: varint n + 8n raw bytes
+//       string: varint len + bytes
+//       series: varint n + u8 mode + body, the mode picked from the data:
+//               delta-of-delta integers (exact integers within +-2^53),
+//               Gorilla XOR floats, or 8n raw LE bytes whenever packing
+//               would not be smaller (util/gorilla.h; grammar in codec.cpp)
 //
 // Path interning is per directed endpoint pair (PathInternTable): the
 // encoder assigns dense ids and emits the literal inline exactly once; the
@@ -131,10 +135,10 @@ util::Status decode_context(const std::uint8_t* data, std::size_t size,
                             PathInternTable& interner, ServiceContext& into);
 
 /// The legacy string envelope (what PR 3 modeled with wire_bytes() + a
-/// 64-byte envelope): full path strings on every entry, and a decode that
-/// rebuilds a node-per-entry std::map exactly like the pre-flat
-/// ServiceContext did. Kept as the equivalence baseline for tests and the
-/// bench_exertion marshalling micro-table.
+/// 64-byte envelope): full path strings on every entry, raw 8-byte series
+/// elements, and a decode that rebuilds a node-per-entry std::map exactly
+/// like the pre-flat ServiceContext did. Kept as the frozen equivalence
+/// baseline for tests and the bench_exertion marshalling micro-table.
 void encode_context_legacy(const ServiceContext& ctx, WireBuffer& out);
 util::Status decode_context_legacy(const std::uint8_t* data, std::size_t size,
                                    ServiceContext& into);

@@ -26,6 +26,7 @@ struct InvokeMetrics {
   obs::Counter& idle_waits;
   obs::Counter& overlap_saved_ns;
   obs::Counter& marshal_ns;
+  obs::Counter& response_desyncs;
   obs::Gauge& outstanding;
   obs::Histogram& rtt_us;
 };
@@ -41,6 +42,8 @@ InvokeMetrics& invoke_metrics() {
                          obs::metrics().counter("invoke.idle_waits"),
                          obs::metrics().counter("invoke.overlap_saved_ns"),
                          obs::metrics().counter("invoke.marshal_ns"),
+                         obs::metrics().counter(
+                             "invoke.codec_desyncs.response"),
                          obs::metrics().gauge("invoke.outstanding"),
                          obs::metrics().histogram("invoke.rtt_us")};
   return m;
@@ -110,19 +113,44 @@ void RemoteInvoker::on_message(const simnet::Message& msg) {
   }
   const auto* rsp = std::any_cast<wire::Response>(&msg.body);
   if (rsp == nullptr) return;
-  if (pending_.erase(rsp->call_id) == 0) {
+  auto it = pending_.find(rsp->call_id);
+  if (it == pending_.end()) {
     // The call already timed out and gave up on this id.
     invoke_metrics().late_responses.add(1);
     return;
   }
+  const ExertionPtr exertion = std::move(it->second);
+  pending_.erase(it);
   invoke_metrics().outstanding.set(static_cast<double>(pending_.size()));
+
+  util::Status status = rsp->transport_status;
+  if (status.code() == util::ErrorCode::kCodecDesync) {
+    // The provider lost our request-intern stream (the message that carried
+    // its definitions was dropped): restart the stream so the retry
+    // re-defines every path inline.
+    codec_.encode[msg.source].reset();
+  }
+  if (status.is_ok() && rsp->payload && exertion) {
+    // Unmarshal the response context into the exertion now, in arrival
+    // order: the provider's response-intern stream defines paths in send
+    // order, so a later response may rely on definitions this one carries.
+    // Decoding at gather time instead would let a nested pump frame harvest
+    // that later response first. The per-provider decode table is selected
+    // by the source address.
+    MarshalTimer timer;
+    status = decode_context(rsp->payload->data(), rsp->payload->size(),
+                            codec_.decode[msg.source], exertion->context());
+    if (status.code() == util::ErrorCode::kCodecDesync) {
+      // Our side of the response stream is broken; the next request tells
+      // the provider to restart it.
+      invoke_metrics().response_desyncs.add(1);
+      reply_reset_.insert(msg.source);
+    }
+  }
   // Stamp the arrival time: an outer pump frame may gather this response
   // later in virtual time, and the call's RTT must not include that gap.
-  // The payload handle rides along so a late harvest can still unmarshal;
-  // the source address selects the per-provider decode intern table.
-  done_.emplace(rsp->call_id, Arrival{rsp->transport_status,
-                                      net_.scheduler().now(), rsp->payload,
-                                      msg.source});
+  done_.emplace(rsp->call_id,
+                Arrival{std::move(status), net_.scheduler().now()});
 }
 
 bool RemoteInvoker::pump_until(std::uint64_t call_id, util::SimTime deadline) {
@@ -263,7 +291,7 @@ PendingCall RemoteInvoker::begin_invoke(
     call.result_.emplace(util::Result<ExertionPtr>(exertion));
     return call;
   }
-  pending_.insert(call.call_id_);
+  pending_.emplace(call.call_id_, exertion);
   invoke_metrics().outstanding.set(static_cast<double>(pending_.size()));
   return call;
 }
@@ -282,28 +310,7 @@ void RemoteInvoker::finish_call(PendingCall& call, const Arrival* arrival) {
       call.exertion_->add_latency(call.elapsed_ - accrued);
     }
     invoke_metrics().rtt_us.observe(static_cast<double>(call.elapsed_));
-    util::Status transport_status = arrival->status;
-    if (transport_status.code() == util::ErrorCode::kCodecDesync) {
-      // The provider lost our request-intern stream (the message that
-      // carried its definitions was dropped): restart the stream so the
-      // retry re-defines every path inline.
-      codec_.encode[arrival->from].reset();
-    }
-    if (transport_status.is_ok() && arrival->payload) {
-      // Unmarshal the provider's response context back into the exertion —
-      // the requestor-side half of the real codec work the payload_bytes
-      // charge was sized from.
-      MarshalTimer timer;
-      transport_status =
-          decode_context(arrival->payload->data(), arrival->payload->size(),
-                         codec_.decode[arrival->from],
-                         call.exertion_->context());
-      if (transport_status.code() == util::ErrorCode::kCodecDesync) {
-        // Our side of the response stream is broken; the next request tells
-        // the provider to restart it.
-        reply_reset_.insert(arrival->from);
-      }
-    }
+    const util::Status& transport_status = arrival->status;
     if (!transport_status.is_ok()) {
       call.span_.set_ok(false);
       // Mark the exertion too: the retry/substitution machinery keys off
@@ -405,7 +412,7 @@ util::Status RemoteInvoker::ping(simnet::Address target,
   msg.payload_bytes = wire::kPingBytes;
   msg.protocol = simnet::Protocol::kUdp;
 
-  pending_.insert(call_id);
+  pending_.emplace(call_id, nullptr);
   if (util::Status sent = net_.send(msg); !sent.is_ok()) {
     pending_.erase(call_id);
     invoke_metrics().ping_failures.add(1);

@@ -239,20 +239,20 @@ class RemoteInvoker {
       const ExertionPtr& exertion, registry::Transaction* txn);
 
   /// A response that landed but has not been gathered yet: the dispatch
-  /// status, when it arrived (virtual time), its encoded context payload
-  /// and the provider endpoint that sent it (selects the decode table).
+  /// status (including the outcome of decoding its payload, which already
+  /// happened on arrival) and when it arrived (virtual time).
   struct Arrival {
     util::Status status;
     util::SimTime at = 0;
-    BufferPool::Handle payload;
-    simnet::Address from;
   };
 
   /// Complete `call` from its arrived response (latency top-up from the
   /// response's arrival time, not the harvest time — an outer pump frame may
-  /// gather it later; payload decoded into the exertion's context) or, when
-  /// `arrival` is null, from deadline expiry.
+  /// gather it later) or, when `arrival` is null, from deadline expiry.
   void finish_call(PendingCall& call, const Arrival* arrival);
+  /// Fabric handler. Decodes each response into its exertion's context as
+  /// it arrives: the intern stream is consumed in arrival order, which is
+  /// the provider's send (= encode) order.
   void on_message(const simnet::Message& msg);
   /// Pump the fabric until `call_id` completes or `deadline` passes.
   /// Returns true on completion.
@@ -265,7 +265,9 @@ class RemoteInvoker {
   InvokeConfig config_;
   simnet::Address addr_;
   std::uint64_t next_call_id_ = 1;
-  std::unordered_set<std::uint64_t> pending_;
+  /// In-flight call ids and the exertion each response decodes into (null
+  /// for pings).
+  std::unordered_map<std::uint64_t, ExertionPtr> pending_;
   std::unordered_map<std::uint64_t, Arrival> done_;
   WireCodecState codec_;
   // Providers whose response-intern stream we could not decode (a

@@ -27,6 +27,12 @@ TaskMetrics& task_metrics() {
   return m;
 }
 
+obs::Counter& request_desyncs_counter() {
+  static obs::Counter& c =
+      obs::metrics().counter("invoke.codec_desyncs.request");
+  return c;
+}
+
 /// Provider-side share of the wall-clock codec cost (same counter the
 /// requestor side accumulates in sorcer/invoke.cpp).
 obs::Counter& marshal_ns_counter() {
@@ -80,7 +86,7 @@ void ServiceProvider::attach_network(simnet::Network& net) {
   if (net_ != nullptr) net_->detach(net_addr_);
   net_ = &net;
   if (net_addr_.is_nil()) net_addr_ = util::new_uuid();
-  if (!codec_) codec_ = std::make_unique<WireCodecState>();
+  if (!codec_) codec_ = std::make_shared<WireCodecState>();
   net.attach(net_addr_,
              [this](const simnet::Message& msg) { handle_network_message(msg); });
 }
@@ -127,6 +133,9 @@ void ServiceProvider::handle_network_message(const simnet::Message& msg) {
         req->payload->data(), req->payload->size(), codec_->decode[msg.source],
         req->exertion->context());
     if (!decoded.is_ok()) {
+      if (decoded.code() == util::ErrorCode::kCodecDesync) {
+        request_desyncs_counter().add(1);
+      }
       simnet::Message err;
       err.source = net_addr_;
       err.destination = req->reply_to;
@@ -142,28 +151,37 @@ void ServiceProvider::handle_network_message(const simnet::Message& msg) {
 
   auto result = service(req->exertion, req->txn);
 
-  // Marshal the post-dispatch context into a pooled buffer; the requestor
-  // unmarshals it on gather. The response's intern table is keyed by the
-  // requestor endpoint, so repeated calls from one peer shrink to ids.
-  BufferPool::Handle payload = codec_->buffers->acquire();
-  {
-    MarshalTimer timer;
-    encode_context(req->exertion->context(), codec_->encode[req->reply_to],
-                   *payload);
-  }
-
   simnet::Message rsp;
   rsp.source = net_addr_;
   rsp.destination = req->reply_to;
   rsp.topic = wire::kResponseTopic;
-  rsp.payload_bytes = payload->size() + wire::kFlatResponseEnvelopeBytes;
-  rsp.body = wire::Response{
-      req->call_id, result.is_ok() ? util::Status::ok() : result.status(),
-      std::move(payload)};
   rsp.protocol = simnet::Protocol::kTcp;
   // The deferred send below runs from a bare scheduler callback with no
   // thread-local trace; stamp the propagation header now.
   rsp.trace = obs::current_context();
+
+  // Marshal the post-dispatch context into a pooled buffer at send time,
+  // not now: the response-intern stream (keyed by the requestor endpoint, so
+  // repeated calls from one peer shrink to ids) must be encoded in the order
+  // responses go out. A short reply that overtakes a longer-deferred one
+  // would otherwise reference path ids whose definitions ride the reply
+  // still waiting to be sent. The closure owns the codec state and the
+  // network pointer, never `this`: the provider may be gone by send time
+  // (its endpoint detached; the fabric outlives providers).
+  auto send = [net = net_, codec = codec_, rsp = std::move(rsp),
+               exertion = req->exertion,
+               status = result.is_ok() ? util::Status::ok() : result.status(),
+               call_id = req->call_id]() mutable {
+    BufferPool::Handle payload = codec->buffers->acquire();
+    {
+      MarshalTimer timer;
+      encode_context(exertion->context(), codec->encode[rsp.destination],
+                     *payload);
+    }
+    rsp.payload_bytes = payload->size() + wire::kFlatResponseEnvelopeBytes;
+    rsp.body = wire::Response{call_id, std::move(status), std::move(payload)};
+    (void)net->send(rsp);
+  };
 
   // The exertion's latency account says how long the dispatch *should* have
   // taken; nested wire hops already advanced the virtual clock by some of
@@ -173,12 +191,9 @@ void ServiceProvider::handle_network_message(const simnet::Message& msg) {
   const util::SimDuration elapsed = sched.now() - started;
   const util::SimDuration defer = modeled > elapsed ? modeled - elapsed : 0;
   if (defer > 0) {
-    // Capture the network by value, not `this`: the provider may be gone by
-    // send time (its endpoint detached; the fabric outlives providers).
-    simnet::Network* net = net_;
-    sched.schedule_after(defer, [net, rsp] { (void)net->send(rsp); });
+    sched.schedule_after(defer, std::move(send));
   } else {
-    (void)net_->send(rsp);
+    send();
   }
 }
 

@@ -158,8 +158,10 @@ class ServiceProvider : public Servicer,
   simnet::Network* net_ = nullptr;
   simnet::Address net_addr_;
   /// Wire-path codec state: per-requestor intern tables plus the response
-  /// payload buffer pool. Allocated on first fabric attachment.
-  std::unique_ptr<WireCodecState> codec_;
+  /// payload buffer pool. Allocated on first fabric attachment; shared with
+  /// deferred response sends, which encode at send time and may outlive the
+  /// provider.
+  std::shared_ptr<WireCodecState> codec_;
 };
 
 /// Domain task peer: a plain ServiceProvider exporting the "Tasker" type.

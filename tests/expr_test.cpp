@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "expr/evaluator.h"
 #include "expr/lexer.h"
@@ -275,8 +276,11 @@ TEST(Expression, CopySemanticsAreDeep) {
 
 /// Algebraic identities that must hold for all values: each case is
 /// (lhs expression, rhs expression) evaluated over a grid of (a, b, c).
+/// The sources are held as std::string so the printed parameter, and with it
+/// the discovered test name, is the expression text rather than a pointer
+/// address that changes with every build.
 class IdentityTest
-    : public ::testing::TestWithParam<std::pair<const char*, const char*>> {};
+    : public ::testing::TestWithParam<std::pair<std::string, std::string>> {};
 
 TEST_P(IdentityTest, HoldsOnGrid) {
   const auto [lhs_src, rhs_src] = GetParam();

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "hist/block.h"
@@ -255,6 +256,52 @@ TEST(SealedBlock, CursorReportsTruncatedStreams) {
 }
 
 // --- tier blocks ----------------------------------------------------------------------------
+
+// --- format stability ------------------------------------------------------------------------
+
+// The serialized block is a storage format: its bytes for a fixed input are
+// pinned, so a refactor of the shared bit coders (util/gorilla.h) cannot
+// silently change what a stored block means. The input touches every dod
+// class, XOR window reuse and re-windowing, repeats, NaN, -0.0, inf, a
+// denormal and both non-good qualities (so the quality section is present).
+TEST(SealedBlock, SealBytesMatchTheGoldenFormat) {
+  const std::int64_t deltas[] = {1000000, 1000000, 1000017, 999800, 1001500,
+                                 1100000, 1000000, 8589934592LL, 1000000,
+                                 1000000, 999999, 1000000, 1000040, 1000000,
+                                 1000000};
+  const double values[] = {21.5,   21.5,     21.625,    21.75, 21.5,
+                           -0.0,   0.0,      1e300,     -3.25, 21.5,
+                           std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           4.9e-324, 21.5, 21.5, 22.0};
+  std::vector<Reading> readings;
+  std::int64_t t = 1700000000000000LL;
+  for (std::size_t i = 0; i < 16; ++i) {
+    const Quality q = i == 4 ? Quality::kSuspect
+                             : (i == 9 ? Quality::kBad : Quality::kGood);
+    readings.push_back(make_reading(t, values[i], q));
+    if (i < 15) t += deltas[i];
+  }
+  const char* kGoldenHex =
+      "5b010100100000008900000000060a24181e40004035800000000000f0007a12"
+      "01a406a1a20f84d5dd47808601afc0003018940003dfffcf2c183e7e37e43c88"
+      "00759fe00000003ffe17b8181edf1ef21e44003acfffffffffe000f4240a00fe"
+      "0000000000047f9b000000000004fa00080000000000028183f7ff0000000000"
+      "001b3d00d60000000000062e4000e00000000000000040200000401e18240a06"
+      "006c6bf518260a0600100000000f0000000000000000000ac0000000000000f0"
+      "7f000000000000f87f00000000000036406c6bf518260a0600";
+
+  auto block = SealedBlock::seal(readings);
+  ASSERT_NE(block, nullptr);
+  std::string hex;
+  for (std::uint8_t b : block->raw_bytes()) {
+    static const char kDigits[] = "0123456789abcdef";
+    hex += kDigits[b >> 4];
+    hex += kDigits[b & 0xf];
+  }
+  EXPECT_EQ(block->bytes(), 217u);
+  EXPECT_EQ(hex, kGoldenHex);
+}
 
 TEST(TierBlock, DemotionBucketsGoodReadingsAndDropsBad) {
   std::vector<Reading> readings;

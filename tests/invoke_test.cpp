@@ -1,10 +1,15 @@
 // Tests for the unified invocation pipeline (sorcer/invoke): wire-backed
 // request/response dispatch, deadlines under loss and partitions, retry
 // with exclusion (service substitution over the fabric), the in-process
-// escape hatch, liveness pings, and endpoint lifecycle.
+// escape hatch, liveness pings, endpoint lifecycle, the ordering of the
+// path-intern streams, and the flat codec including its packed series
+// column.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -14,6 +19,8 @@
 #include "sorcer/codec.h"
 #include "sorcer/exert.h"
 #include "sorcer/invoke.h"
+#include "sorcer/provider.h"
+#include "util/rng.h"
 
 namespace sensorcer::core {
 namespace {
@@ -444,6 +451,96 @@ TEST(EndpointTest, ReattachKeepsTheAddressStable) {
   EXPECT_TRUE(net.is_attached(addr));
 }
 
+// --- intern-stream ordering --------------------------------------------------
+//
+// Path definitions ride only the first message that uses a path, so each
+// directed stream must be encoded in send order and decoded in arrival
+// order. Both tests run on cold intern tables and reuse one context shape,
+// so the second response of each pair carries bare ids whose definitions
+// ride the first.
+
+struct EchoRig {
+  util::Scheduler sched;
+  simnet::Network net{sched};
+  std::shared_ptr<sorcer::Tasker> tasker =
+      std::make_shared<sorcer::Tasker>("Echo");
+  sorcer::RemoteInvoker invoker{net,
+                                sorcer::InvokeConfig{sorcer::Transport::kWire}};
+
+  EchoRig() {
+    const auto echo = [](sorcer::ServiceContext& ctx) {
+      ctx.put("out/value", 42.0, sorcer::PathDirection::kOut);
+      ctx.put("out/series", std::vector<double>{1.0, 2.0, 3.0},
+              sorcer::PathDirection::kOut);
+      return util::Status::ok();
+    };
+    tasker->add_operation("fast", echo, kMillisecond);
+    tasker->add_operation("slow", echo, 50 * kMillisecond);
+    tasker->attach_network(net);
+  }
+
+  static sorcer::ExertionPtr task(const char* selector) {
+    auto t = sorcer::Task::make(
+        selector, sorcer::Signature{sorcer::type::kTasker, selector, "Echo"});
+    t->context().put("in/x", 1.0, sorcer::PathDirection::kIn);
+    return t;
+  }
+};
+
+void expect_echoed(const sorcer::ExertionPtr& t) {
+  EXPECT_EQ(t->status(), sorcer::ExertStatus::kDone) << t->name();
+  auto value = t->context().get_double("out/value");
+  ASSERT_TRUE(value.is_ok()) << t->name();
+  EXPECT_EQ(value.value(), 42.0);
+  const std::vector<double>* series = t->context().peek_series("out/series");
+  ASSERT_NE(series, nullptr) << t->name();
+  EXPECT_EQ(*series, (std::vector<double>{1.0, 2.0, 3.0}));
+}
+
+TEST(InternOrderTest, TimerCallInsideAnOuterGatherDecodesInArrivalOrder) {
+  // The outer call's response is sent first and defines the response
+  // paths. A timer (like a flow source's flush) fires inside the outer
+  // gather and issues and gathers its own call to the same provider. Its
+  // nested frame harvests the second response before the outer frame
+  // harvests the first, so decoding at harvest time would hit unknown ids.
+  EchoRig rig;
+  const auto desyncs_before = counter("invoke.codec_desyncs.response");
+  auto outer = EchoRig::task("fast");
+  auto inner = EchoRig::task("fast");
+  bool inner_ok = false;
+  rig.sched.schedule_after(100, [&] {
+    inner_ok = rig.invoker.invoke(rig.tasker, inner, nullptr).is_ok();
+  });
+  ASSERT_TRUE(rig.invoker.invoke(rig.tasker, outer, nullptr).is_ok());
+  EXPECT_TRUE(inner_ok);
+  expect_echoed(outer);
+  expect_echoed(inner);
+  EXPECT_EQ(counter("invoke.codec_desyncs.response") - desyncs_before, 0u);
+}
+
+TEST(InternOrderTest, FastReplyOvertakingASlowReplyDecodes) {
+  // One batch to one provider: the slow op's response is held back 50 ms,
+  // the fast op's 1 ms. The fast response goes out first, so it must be the
+  // one that defines the paths: encoding at dispatch time would give the
+  // definitions to the slow response still waiting to be sent.
+  EchoRig rig;
+  const auto desyncs_before = counter("invoke.codec_desyncs.response");
+  auto slow = EchoRig::task("slow");
+  auto fast = EchoRig::task("fast");
+  sorcer::PendingCall calls[] = {
+      rig.invoker.begin_invoke(rig.tasker, slow, nullptr),
+      rig.invoker.begin_invoke(rig.tasker, fast, nullptr)};
+  sorcer::PendingCall* open[] = {&calls[0], &calls[1]};
+  rig.invoker.pump_until_all(open);
+  for (sorcer::PendingCall& call : calls) {
+    ASSERT_TRUE(call.completed());
+    EXPECT_TRUE(call.result().is_ok());
+  }
+  expect_echoed(slow);
+  expect_echoed(fast);
+  EXPECT_EQ(counter("invoke.codec_desyncs.response") - desyncs_before, 0u);
+}
+
 // --- flat binary codec -------------------------------------------------------
 
 /// A context exercising every ContextValue alternative plus awkward paths:
@@ -634,6 +731,280 @@ TEST(CodecTest, DecodeReusesSeriesCapacityInPlace) {
   const std::vector<double>* second = target.peek_series("flow/values");
   ASSERT_NE(second, nullptr);
   EXPECT_EQ(second->data(), backing);
+}
+
+// --- packed series column ----------------------------------------------------
+
+constexpr std::uint8_t kModeRaw = 0;
+constexpr std::uint8_t kModeDod = 1;
+constexpr std::uint8_t kModeXor = 2;
+
+std::size_t varint_len(std::uint64_t v) {
+  std::size_t n = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++n;
+  }
+  return n;
+}
+
+/// Encoding of a context holding one series under path "s", with a fresh
+/// intern table: epoch, name length, entry count, key, path length, 's'
+/// and meta take one byte each, so the column starts at byte 7.
+constexpr std::size_t kSeriesAt = 7;
+
+sorcer::WireBuffer encode_series(const std::vector<double>& v) {
+  sorcer::ServiceContext ctx;
+  ctx.put("s", v);
+  sorcer::PathInternTable table;
+  sorcer::WireBuffer buf;
+  sorcer::encode_context(ctx, table, buf);
+  return buf;
+}
+
+std::uint8_t series_mode(const sorcer::WireBuffer& buf, std::size_t n) {
+  return buf.at(kSeriesAt + varint_len(n));
+}
+
+std::size_t series_body_bytes(const sorcer::WireBuffer& buf, std::size_t n) {
+  return buf.size() - kSeriesAt - varint_len(n) - 1;
+}
+
+/// Encode, decode with a fresh table, and compare every element's bits.
+void expect_series_round_trip(const std::vector<double>& v, const char* what) {
+  const sorcer::WireBuffer buf = encode_series(v);
+  sorcer::PathInternTable table;
+  sorcer::ServiceContext decoded;
+  ASSERT_TRUE(
+      sorcer::decode_context(buf.data(), buf.size(), table, decoded).is_ok())
+      << what;
+  const std::vector<double>* got = decoded.peek_series("s");
+  ASSERT_NE(got, nullptr) << what;
+  ASSERT_EQ(got->size(), v.size()) << what;
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    std::uint64_t want_bits = 0;
+    std::uint64_t got_bits = 0;
+    std::memcpy(&want_bits, &v[i], sizeof want_bits);
+    std::memcpy(&got_bits, &(*got)[i], sizeof got_bits);
+    ASSERT_EQ(got_bits, want_bits) << what << " @" << i;
+  }
+  EXPECT_LE(series_body_bytes(buf, v.size()), 8 * v.size()) << what;
+}
+
+double from_bits(std::uint64_t bits) {
+  double d = 0;
+  std::memcpy(&d, &bits, sizeof d);
+  return d;
+}
+
+std::vector<double> one_hz_timestamps(std::size_t n) {
+  std::vector<double> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    v[i] = 6.0e8 + 1.0e6 * static_cast<double>(i);
+  }
+  return v;
+}
+
+std::vector<double> noise(std::size_t n, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<double> v(n);
+  for (double& d : v) d = rng.uniform(-1.0e6, 1.0e6);
+  return v;
+}
+
+TEST(CodecTest, SeriesRoundTripsBitExactInEveryMode) {
+  constexpr double kTwo53 = 9007199254740992.0;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  const std::vector<std::pair<const char*, std::vector<double>>> columns = {
+      {"empty", {}},
+      {"one integer", {7.0}},
+      {"one float", {21.5}},
+      {"two", {1.0, -1.0}},
+      {"nan payloads",
+       {from_bits(0x7ff8000000000001ULL), from_bits(0xfff0000000000abcULL),
+        std::numeric_limits<double>::quiet_NaN(),
+        from_bits(0x7ff4000000000000ULL), 1.0}},
+      {"infinities", {inf, -inf, inf, 0.5, -inf}},
+      {"negative zero", {0.0, -0.0, 0.0, -0.0, 1.0, 2.0, 3.0}},
+      {"negative zero only", {-0.0, -0.0, -0.0}},
+      {"denormals", {denorm, -denorm, 2 * denorm, 1e-310, 0.0}},
+      {"2^53 bounds", {kTwo53, -kTwo53, kTwo53, 0.0, -kTwo53}},
+      {"past 2^53", {kTwo53 + 2, kTwo53, kTwo53 + 4, -kTwo53 - 2}},
+      {"64-bit dod escape", {0.0, kTwo53, -kTwo53, kTwo53, -kTwo53, 0.0}},
+      {"every dod class",
+       {0, 1000, 2000, 3017, 3800, 6300, 106300, 4000000000, 4000000001}},
+      {"1 Hz timestamps x4096", one_hz_timestamps(4096)},
+      {"noise x4096", noise(4096, 7)},
+      {"steady floats x4096", std::vector<double>(4096, 21.625)},
+  };
+  for (const auto& [what, v] : columns) expect_series_round_trip(v, what);
+}
+
+TEST(CodecTest, SeriesModeFollowsTheData) {
+  const std::vector<double> ts = one_hz_timestamps(256);
+  const sorcer::WireBuffer ts_buf = encode_series(ts);
+  EXPECT_EQ(series_mode(ts_buf, ts.size()), kModeDod);
+  // A fixed cadence costs one bit per element after the second: the first
+  // value is a varint and the first delta one 32-bit dod class, so 256
+  // points fit in 5 + ceil((37 + 254) / 8) = 42 bytes against 2048 raw.
+  EXPECT_EQ(series_body_bytes(ts_buf, ts.size()), 42u);
+
+  const std::vector<double> qualities(256, 0.0);
+  EXPECT_EQ(series_mode(encode_series(qualities), 256), kModeDod);
+
+  std::vector<double> slow(256);
+  for (std::size_t i = 0; i < slow.size(); ++i) {
+    slow[i] = 20.0 + 0.5 * static_cast<double>(i / 16);
+  }
+  EXPECT_EQ(series_mode(encode_series(slow), slow.size()), kModeXor);
+
+  // Noise costs at most the mode byte over the raw layout, at every size:
+  // XOR is kept only where it is strictly smaller than raw.
+  for (std::size_t n : {1u, 2u, 3u, 17u, 256u, 4096u}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      const std::vector<double> v = noise(n, seed);
+      const sorcer::WireBuffer buf = encode_series(v);
+      EXPECT_LE(series_body_bytes(buf, n), 8 * n) << n << "/" << seed;
+      if (series_mode(buf, n) != kModeRaw) {
+        EXPECT_LT(series_body_bytes(buf, n), 8 * n) << n << "/" << seed;
+      }
+    }
+  }
+  EXPECT_EQ(series_mode(encode_series(noise(4096, 1)), 4096), kModeRaw);
+  // The -0.0 guard: an otherwise-integer column with -0.0 is not dod.
+  EXPECT_NE(series_mode(encode_series({1.0, -0.0, 3.0, 4.0}), 4), kModeDod);
+}
+
+TEST(CodecTest, SeriesCountersTrackRawAndWireBytes) {
+  const auto raw_before = counter("invoke.series_raw_bytes");
+  const auto wire_before = counter("invoke.series_wire_bytes");
+  const std::vector<double> ts = one_hz_timestamps(512);
+  const sorcer::WireBuffer buf = encode_series(ts);
+  EXPECT_EQ(counter("invoke.series_raw_bytes") - raw_before, 8u * 512);
+  EXPECT_EQ(counter("invoke.series_wire_bytes") - wire_before,
+            1 + series_body_bytes(buf, ts.size()));
+}
+
+TEST(CodecTest, SeriesLegacyEnvelopeStaysRaw) {
+  // The legacy codec is the frozen PERF-5 baseline: 8 bytes per element.
+  sorcer::ServiceContext ctx;
+  ctx.put("s", one_hz_timestamps(64));
+  sorcer::WireBuffer legacy;
+  sorcer::encode_context_legacy(ctx, legacy);
+  EXPECT_GE(legacy.size(), 8u * 64);
+  sorcer::ServiceContext decoded;
+  ASSERT_TRUE(sorcer::decode_context_legacy(legacy.data(), legacy.size(),
+                                            decoded)
+                  .is_ok());
+  EXPECT_EQ(*decoded.peek_series("s"), one_hz_timestamps(64));
+}
+
+/// A context with one series per mode plus scalar neighbours on both sides.
+sorcer::ServiceContext series_fuzz_context() {
+  sorcer::ServiceContext ctx("fuzz");
+  ctx.put("a/before", 3.5);
+  ctx.put("hist/timestamps", one_hz_timestamps(40));
+  std::vector<double> slow(40);
+  for (std::size_t i = 0; i < slow.size(); ++i) {
+    slow[i] = 20.0 + 0.25 * static_cast<double>(i % 5);
+  }
+  ctx.put("hist/values", slow);
+  ctx.put("hist/noise", noise(12, 3));
+  ctx.put("z/after", std::string("tail"));
+  return ctx;
+}
+
+TEST(CodecTest, SeriesFuzzContextUsesEveryMode) {
+  const sorcer::ServiceContext ctx = series_fuzz_context();
+  for (const char* path : {"hist/timestamps", "hist/values", "hist/noise"}) {
+    const std::vector<double>* v = ctx.peek_series(path);
+    ASSERT_NE(v, nullptr);
+    expect_series_round_trip(*v, path);
+  }
+  EXPECT_EQ(series_mode(encode_series(one_hz_timestamps(40)), 40), kModeDod);
+  EXPECT_EQ(series_mode(encode_series(*ctx.peek_series("hist/values")), 40),
+            kModeXor);
+  EXPECT_EQ(series_mode(encode_series(noise(12, 3)), 12), kModeRaw);
+}
+
+TEST(CodecTest, SeriesTruncationAtEveryCutPointIsRejected) {
+  const sorcer::ServiceContext ctx = series_fuzz_context();
+  sorcer::PathInternTable table;
+  sorcer::WireBuffer buf;
+  sorcer::encode_context(ctx, table, buf);
+  for (std::size_t cut = 0; cut < buf.size(); ++cut) {
+    // A copy of exactly `cut` bytes, so ASan catches any read past it.
+    const std::vector<std::uint8_t> prefix(
+        buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(cut));
+    sorcer::PathInternTable fresh;
+    sorcer::ServiceContext decoded;
+    EXPECT_FALSE(sorcer::decode_context(prefix.data(), prefix.size(), fresh,
+                                        decoded)
+                     .is_ok())
+        << "cut " << cut << " of " << buf.size();
+  }
+  sorcer::PathInternTable fresh;
+  sorcer::ServiceContext whole;
+  ASSERT_TRUE(
+      sorcer::decode_context(buf.data(), buf.size(), fresh, whole).is_ok());
+  expect_context_eq(ctx, whole);
+}
+
+TEST(CodecTest, SeriesByteFlipsNeverCrashOrOverAllocate) {
+  const sorcer::ServiceContext ctx = series_fuzz_context();
+  sorcer::PathInternTable table;
+  sorcer::WireBuffer buf;
+  sorcer::encode_context(ctx, table, buf);
+  util::Rng rng(2024);
+  for (int trial = 0; trial < 4000; ++trial) {
+    std::vector<std::uint8_t> mutated = buf;
+    const int flips = 1 + static_cast<int>(rng.below(3));
+    for (int f = 0; f < flips; ++f) {
+      mutated[rng.below(mutated.size())] ^=
+          static_cast<std::uint8_t>(1 + rng.below(255));
+    }
+    sorcer::PathInternTable fresh;
+    sorcer::ServiceContext decoded;
+    if (!sorcer::decode_context(mutated.data(), mutated.size(), fresh,
+                                decoded)
+             .is_ok()) {
+      continue;
+    }
+    // Whatever decoded must fit what the bytes could carry: at most one
+    // element per bit.
+    for (const std::string& path : decoded.paths()) {
+      if (const std::vector<double>* v = decoded.peek_series(path)) {
+        EXPECT_LE(v->size(), 8 * mutated.size()) << "trial " << trial;
+      }
+    }
+  }
+}
+
+TEST(CodecTest, SeriesCountBeyondTheBodyIsRejectedBeforeAllocating) {
+  // Hand-built single-series encodings declaring far more elements than the
+  // 16-byte body holds; a reserve() of the declared count would throw.
+  for (std::uint8_t mode : {kModeRaw, kModeDod, kModeXor}) {
+    for (std::uint64_t n : {std::uint64_t{1} << 40, std::uint64_t{1} << 61,
+                            ~std::uint64_t{0} >> 1}) {
+      sorcer::WireBuffer buf = {0, 0, 1, 1, 1, 's', 5};
+      for (std::uint64_t v = n; ; v >>= 7) {
+        if (v < 0x80) {
+          buf.push_back(static_cast<std::uint8_t>(v));
+          break;
+        }
+        buf.push_back(static_cast<std::uint8_t>(v) | 0x80);
+      }
+      buf.push_back(mode);
+      buf.insert(buf.end(), 16, 0);
+      sorcer::PathInternTable table;
+      sorcer::ServiceContext decoded;
+      EXPECT_FALSE(
+          sorcer::decode_context(buf.data(), buf.size(), table, decoded)
+              .is_ok())
+          << "mode " << int(mode) << " n " << n;
+    }
+  }
 }
 
 TEST(CodecTest, WirePathWarmsInternTablesAcrossCalls) {

@@ -190,6 +190,21 @@ TEST(ObsExport, RenderTableAndHealthDoNotThrow) {
   EXPECT_NE(health.find("12"), std::string::npos);
 }
 
+TEST(ObsExport, HealthReportsCodecDesyncsAndSeriesRatio) {
+  obs::Registry reg;
+  const obs::Snapshot empty = reg.snapshot(0);
+  EXPECT_NE(obs::render_federation_health(empty).find("series column ratio"),
+            std::string::npos);
+  reg.counter("invoke.codec_desyncs.request").add(2);
+  reg.counter("invoke.codec_desyncs.response").add(5);
+  reg.counter("invoke.series_raw_bytes").add(4000);
+  reg.counter("invoke.series_wire_bytes").add(1000);
+  const std::string health = obs::render_federation_health(reg.snapshot(0));
+  EXPECT_NE(health.find("codec desyncs request / response"), std::string::npos);
+  EXPECT_NE(health.find("2 / 5"), std::string::npos);
+  EXPECT_NE(health.find("0.250 (1000/4000 B)"), std::string::npos);
+}
+
 // --- spans -------------------------------------------------------------------
 
 TEST(ObsTrace, SpanParentChildSameThread) {
