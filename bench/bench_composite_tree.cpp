@@ -77,7 +77,6 @@ int main() {
            {sorcer::Flow::kParallel, sorcer::Flow::kSequence}) {
         core::DeploymentConfig config;
         config.sampling.sample_period = 0;  // on-demand reads only
-        config.worker_threads = 0;          // deterministic inline execution
         core::Deployment lab(config);
         std::size_t counter = 0;
         leaves = build_tree(lab, "root", depth, fanout, counter, flow);

@@ -1,16 +1,13 @@
 // Experiment CLM-6 (§IV.D): exertion federation — jobs over tasks under the
 // two control strategies. Sweeps job fan-out and reports modeled (virtual)
 // latency for sequential push, parallel push (Jobber) and pull with a
-// worker crew (Spacer), plus real wall-clock for the thread-pooled parallel
-// flow over compute-heavy tasks. Expected shape: sequence grows linearly
-// with fan-out; parallel stays flat; pull interpolates by crew size; real
-// threads give genuine speedup on compute-bound operations.
+// worker crew (Spacer). Expected shape: sequence grows linearly with
+// fan-out; parallel stays flat; pull interpolates by crew size.
 //
-// The wire-mode section reruns the fan-out sweep under Transport::kWire,
-// where every dispatch is a request/response message pair on the simnet
-// fabric: parallel push scatters all children and gathers them with one
-// shared scheduler pump, so N round-trips overlap in virtual time instead
-// of serializing.
+// The wire-mode section reruns the fan-out sweep with every dispatch a
+// request/response message pair on the simnet fabric: parallel push
+// scatters all children and gathers them with one shared scheduler pump, so
+// N round-trips overlap in virtual time instead of serializing.
 //
 // `bench_exertion wire` runs just the wire section; `bench_exertion smoke`
 // runs a seconds-scale subset (marshalling table + wire sweep, CI under
@@ -20,12 +17,10 @@
 
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
 #include <string>
-#include <thread>
 
 #include "registry/lease_renewal.h"
 #include "simnet/network.h"
@@ -69,17 +64,17 @@ struct Fixture {
   std::shared_ptr<Jobber> jobber;
   std::shared_ptr<Spacer> spacer;
 
-  explicit Fixture(std::size_t spacer_workers, util::ThreadPool* pool) {
+  explicit Fixture(std::size_t spacer_workers) {
     accessor.add_lookup(lus);
     tasker = std::make_shared<Tasker>("Worker");
     tasker->add_operation(
         "work", [](ServiceContext&) { return util::Status::ok(); },
         10 * util::kMillisecond);
     (void)tasker->join(lus, lrm, 3600 * util::kSecond);
-    jobber = std::make_shared<Jobber>("Jobber", accessor, pool);
+    jobber = std::make_shared<Jobber>("Jobber", accessor);
     (void)jobber->join(lus, lrm, 3600 * util::kSecond);
     spacer = std::make_shared<Spacer>("Spacer", accessor, space,
-                                      spacer_workers, pool);
+                                      spacer_workers);
     (void)spacer->join(lus, lrm, 3600 * util::kSecond);
   }
 
@@ -95,7 +90,7 @@ std::shared_ptr<Job> make_job(std::size_t fanout, Flow flow, Access access) {
 }
 
 // Same federation, but every service-to-service dispatch crosses the simnet
-// fabric as a request/response message pair (Transport::kWire).
+// fabric as a request/response message pair.
 struct WireFixture {
   util::Scheduler sched;
   simnet::Network net{sched};
@@ -104,7 +99,7 @@ struct WireFixture {
   registry::LeaseRenewalManager lrm{sched};
   ServiceAccessor accessor;
   ExertSpace space;
-  RemoteInvoker invoker{net, InvokeConfig{Transport::kWire}};
+  RemoteInvoker invoker{net};
   std::shared_ptr<Tasker> tasker;
   std::shared_ptr<Jobber> jobber;
   std::shared_ptr<Spacer> spacer;
@@ -118,11 +113,11 @@ struct WireFixture {
         10 * util::kMillisecond);
     tasker->attach_network(net);
     (void)tasker->join(lus, lrm, 3600 * util::kSecond);
-    jobber = std::make_shared<Jobber>("Jobber", accessor, nullptr);
+    jobber = std::make_shared<Jobber>("Jobber", accessor);
     jobber->attach_network(net);
     (void)jobber->join(lus, lrm, 3600 * util::kSecond);
     spacer = std::make_shared<Spacer>("Spacer", accessor, space,
-                                      spacer_workers, nullptr);
+                                      spacer_workers);
     spacer->attach_network(net);
     (void)spacer->join(lus, lrm, 3600 * util::kSecond);
   }
@@ -133,7 +128,7 @@ struct WireFixture {
 // round-trip per child; scatter-gather parallel push overlaps them all in
 // one shared scheduler pump, so the batch costs ~the slowest child.
 void run_wire_section(bool smoke) {
-  std::puts("Wire-mode fan-out sweep (Transport::kWire, 200us one-way fabric "
+  std::puts("Wire-mode fan-out sweep (200us one-way fabric "
             "latency; elapsed requestor time in virtual fabric time):");
   const std::vector<std::size_t> fanouts =
       smoke ? std::vector<std::size_t>{1, 8}
@@ -373,7 +368,7 @@ int main(int argc, char** argv) {
 
   std::vector<std::vector<std::string>> rows;
   for (std::size_t fanout : {1u, 2u, 4u, 8u, 16u, 32u, 64u}) {
-    Fixture fx(4, nullptr);
+    Fixture fx(4);
     auto seq = make_job(fanout, Flow::kSequence, Access::kPush);
     auto par = make_job(fanout, Flow::kParallel, Access::kPush);
     auto pull = make_job(fanout, Flow::kParallel, Access::kPull);
@@ -403,7 +398,7 @@ int main(int argc, char** argv) {
   std::puts("Pull makespan vs worker-crew size (32 tasks):");
   std::vector<std::vector<std::string>> crew_rows;
   for (std::size_t workers : {1u, 2u, 4u, 8u, 16u, 32u}) {
-    Fixture fx(workers, nullptr);
+    Fixture fx(workers);
     auto job = make_job(32, Flow::kParallel, Access::kPull);
     (void)exert(job, fx.accessor);
     crew_rows.push_back(
@@ -411,54 +406,8 @@ int main(int argc, char** argv) {
   }
   std::puts(util::render_table({"workers", "makespan"}, crew_rows).c_str());
 
-  // Real wall-clock parallelism over compute-bound tasks. One provider per
-  // thread (provider invocations serialize), tasks pinned round-robin.
-  std::printf(
-      "Real thread-pool speedup (compute-bound task ops, wall clock; this "
-      "host has %u core(s) — speedup is capped there):\n",
-      std::thread::hardware_concurrency());
-  const auto spin_op = [](ServiceContext& ctx) -> util::Status {
-    double acc = 0;
-    for (int i = 1; i < 400000; ++i) acc += std::sqrt(static_cast<double>(i));
-    ctx.put("out", acc);
-    return util::Status::ok();
-  };
-  std::vector<std::vector<std::string>> wall_rows;
-  for (std::size_t threads : {1u, 2u, 4u, 8u}) {
-    util::ThreadPool pool(threads);
-    Fixture fx(4, &pool);
-    // Provider invocations serialize per provider, so real speedup needs a
-    // provider pool: one compute peer per thread, tasks pinned round-robin.
-    std::vector<std::shared_ptr<Tasker>> peers;
-    for (std::size_t p = 0; p < threads; ++p) {
-      auto peer = std::make_shared<Tasker>("Peer-" + std::to_string(p));
-      peer->add_operation("work", spin_op, util::kMillisecond);
-      (void)peer->join(fx.lus, fx.lrm, 3600 * util::kSecond);
-      peers.push_back(std::move(peer));
-    }
-    auto job = Job::make("job", {Flow::kParallel, Access::kPush, true});
-    for (std::size_t i = 0; i < 32; ++i) {
-      job->add(Task::make(
-          "t" + std::to_string(i),
-          Signature{type::kTasker, "work",
-                    "Peer-" + std::to_string(i % threads)}));
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    (void)exert(job, fx.accessor);
-    const double ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-    wall_rows.push_back(
-        {std::to_string(threads), util::format("%.1f ms", ms)});
-  }
-  std::puts(util::render_table({"pool threads", "32-task job wall time"},
-                               wall_rows)
-                .c_str());
   std::puts("Expected shape: sequence latency linear in fan-out; parallel "
-            "flat; pull interpolates with ceil(tasks/workers); wall time "
-            "shrinks with pool size up to the host's core count (flat on a "
-            "single-core host — the virtual-time model above carries the "
-            "parallelism analysis).\n");
+            "flat; pull interpolates with ceil(tasks/workers).\n");
 
   run_marshal_section(false);
   run_wire_section(false);

@@ -9,8 +9,13 @@
 // recovery ~ poll period + activation cost, independent of fleet size (as
 // long as spare capacity exists); availability degrades gracefully with
 // failure rate.
+//
+// `bench_failover smoke` runs only the partition-driven failover table and
+// exits nonzero when any partition is not re-provisioned within the monitor
+// poll period plus 50 ms.
 
 #include <cstdio>
+#include <string>
 
 #include "util/strings.h"
 #include "core/deployment.h"
@@ -51,9 +56,67 @@ double measure_recovery(std::size_t fleet, util::SimDuration poll) {
   return -1;
 }
 
+/// The node stays alive but a partition severs it from the monitor — only
+/// the liveness ping over the fabric can notice. Measures the virtual-time
+/// gap from partition to re-provision per monitor poll period; returns
+/// false when a row misses poll + 50 ms.
+bool run_partition_failover() {
+  constexpr util::SimDuration kSlack = 50 * util::kMillisecond;
+  std::puts("Partition-driven failover (ping detection):");
+  std::vector<std::vector<std::string>> rows;
+  bool within = true;
+  for (util::SimDuration poll :
+       {250 * util::kMillisecond, 1 * util::kSecond, 4 * util::kSecond}) {
+    core::DeploymentConfig config;
+    config.cybernodes = 4;
+    config.lease_duration = 2 * util::kSecond;
+    config.monitor.poll_period = poll;
+    core::Deployment lab(config);
+    lab.add_temperature_sensor("S1");
+    (void)lab.facade().create_service("Cutoff");
+    lab.pump(util::kSecond);
+
+    for (const auto& node : lab.cybernodes()) {
+      if (node->hosted_count() > 0) {
+        lab.network().partition(lab.invoker().address(),
+                                node->network_address());
+      }
+    }
+    const auto before = lab.monitor().reprovision_count();
+    const util::SimTime cut_at = lab.now();
+    util::SimDuration detect = -1;
+    while (lab.now() - cut_at < 60 * util::kSecond) {
+      lab.pump(10 * util::kMillisecond);
+      if (lab.monitor().reprovision_count() > before) {
+        detect = lab.now() - cut_at;
+        break;
+      }
+    }
+    if (detect < 0 || detect > poll + kSlack) within = false;
+    rows.push_back(
+        {util::format_duration(poll),
+         detect < 0 ? "NOT REPROVISIONED"
+                    : util::format("%.0f ms", static_cast<double>(detect) /
+                                                  util::kMillisecond)});
+  }
+  std::puts(util::render_table({"monitor poll", "partition -> re-provision"},
+                               rows)
+                .c_str());
+  return within;
+}
+
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  if (argc > 1 && std::string(argv[1]) == "smoke") {
+    if (!run_partition_failover()) {
+      std::puts("FAILED: a partition was not re-provisioned within the "
+                "monitor poll + 50 ms");
+      return 1;
+    }
+    std::puts("smoke OK: every partition re-provisioned within poll + 50 ms");
+    return 0;
+  }
   std::puts("=== CLM-4: Rio failover — recovery after cybernode death ===\n");
 
   std::vector<std::vector<std::string>> rows;
@@ -115,47 +178,8 @@ int main() {
                   lab.monitor().reprovision_count()),
               100.0 * static_cast<double>(up) /
                   static_cast<double>(samples));
-  // Wire transport: the node stays alive but a partition severs it from the
-  // monitor — only the liveness ping over the fabric can notice. Measures
-  // the virtual-time gap from partition to re-provision.
-  std::puts("\nWire transport — partition-driven failover (ping detection):");
-  std::vector<std::vector<std::string>> wire_rows;
-  for (util::SimDuration poll :
-       {250 * util::kMillisecond, 1 * util::kSecond, 4 * util::kSecond}) {
-    core::DeploymentConfig wire_config;
-    wire_config.cybernodes = 4;
-    wire_config.lease_duration = 2 * util::kSecond;
-    wire_config.monitor.poll_period = poll;
-    wire_config.invoke.transport = sorcer::Transport::kWire;
-    core::Deployment wlab(wire_config);
-    wlab.add_temperature_sensor("S1");
-    (void)wlab.facade().create_service("Cutoff");
-    wlab.pump(util::kSecond);
-
-    for (const auto& node : wlab.cybernodes()) {
-      if (node->hosted_count() > 0) {
-        wlab.network().partition(wlab.invoker().address(),
-                                 node->network_address());
-      }
-    }
-    const auto before = wlab.monitor().reprovision_count();
-    const util::SimTime cut_at = wlab.now();
-    double detect = -1;
-    while (wlab.now() - cut_at < 60 * util::kSecond) {
-      wlab.pump(10 * util::kMillisecond);
-      if (wlab.monitor().reprovision_count() > before) {
-        detect =
-            static_cast<double>(wlab.now() - cut_at) / util::kMillisecond;
-        break;
-      }
-    }
-    wire_rows.push_back({util::format_duration(poll),
-                         detect < 0 ? "NOT REPROVISIONED"
-                                    : util::format("%.0f ms", detect)});
-  }
-  std::puts(util::render_table({"monitor poll", "partition -> re-provision"},
-                               wire_rows)
-                .c_str());
+  std::puts("");
+  (void)run_partition_failover();
 
   std::puts("\nExpected shape: recovery ≈ poll period + activation cost, "
             "independent of fleet size; availability stays high under "

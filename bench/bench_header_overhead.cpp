@@ -7,8 +7,13 @@
 // batch size. Expected shape: per-reading cost of polling is constant and
 // header-dominated; batched cost falls hyperbolically and crosses below
 // polling immediately, approaching the raw payload size.
+//
+// `bench_header_overhead smoke` runs only the measured table and exits
+// nonzero when aggregation stops paying: at 512 readings the aggregated
+// cost must stay at least 10x below polling.
 
 #include <cstdio>
+#include <string>
 
 #include "util/strings.h"
 #include "core/deployment.h"
@@ -30,9 +35,80 @@ std::size_t batch_bytes(simnet::Protocol p, std::size_t n) {
          simnet::wire_bytes(p, n * sensor::Reading::kWireBytes);
 }
 
+/// Fabric bytes (payload + headers) sent since the last reset_stats().
+double fabric_bytes(core::Deployment& lab) {
+  return static_cast<double>(lab.network().totals().payload_bytes_sent +
+                             lab.network().totals().header_bytes_sent);
+}
+
+/// Measured end to end: `batch` getValue polls vs one getLog batch, each a
+/// request/response message pair on the fabric. Returns polled/aggregated.
+double measure(std::size_t batch,
+               std::vector<std::vector<std::string>>& rows) {
+  core::DeploymentConfig config;
+  config.sampling.sample_period = 100 * util::kMillisecond;
+  config.sampling.log_capacity = 4096;
+  core::Deployment lab(config);
+  lab.add_temperature_sensor("Metered");
+  lab.pump(static_cast<util::SimDuration>(batch) * 100 * util::kMillisecond);
+
+  lab.network().reset_stats();
+  for (std::size_t i = 0; i < batch; ++i) {
+    auto task = sorcer::Task::make(
+        "t", sorcer::Signature{core::kSensorDataAccessorType,
+                               core::op::kGetValue, "Metered"});
+    (void)sorcer::exert(task, lab.accessor());
+  }
+  const double polled = fabric_bytes(lab) / static_cast<double>(batch);
+
+  lab.network().reset_stats();
+  auto log_task = sorcer::Task::make(
+      "t", sorcer::Signature{core::kSensorDataAccessorType, core::op::kGetLog,
+                             "Metered"});
+  log_task->context().put(core::path::kLogSince, 0.0);
+  (void)sorcer::exert(log_task, lab.accessor());
+  const double batched = fabric_bytes(lab) / static_cast<double>(batch);
+
+  rows.push_back({std::to_string(batch), util::format("%.1f", polled),
+                  util::format("%.1f", batched),
+                  util::format("%.1fx", polled / batched)});
+  return polled / batched;
+}
+
+/// The measured table; returns the aggregation win at the largest batch.
+double run_measured() {
+  // Every getValue/getLog is a real request/response Message pair, so each
+  // reading pays the codec envelope plus trace-propagation headers.
+  std::puts("Measured through the framework (every exertion a "
+            "request/response message pair on the fabric):");
+  std::vector<std::vector<std::string>> rows;
+  double win = 0;
+  for (std::size_t batch : {1u, 8u, 64u, 512u}) win = measure(batch, rows);
+  std::puts(util::render_table(
+                {"readings", "polled B/r", "aggregated B/r", "win"}, rows)
+                .c_str());
+  return win;
+}
+
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const std::string mode = argc > 1 ? argv[1] : "";
+  if (mode == "smoke") {
+    constexpr double kMinWin = 10.0;
+    const double win = run_measured();
+    if (win < kMinWin) {
+      std::printf("FAILED: aggregated vs polled at 512 readings is %.1fx "
+                  "(gate >= %.0fx)\n",
+                  win, kMinWin);
+      return 1;
+    }
+    std::printf("smoke OK: %.1fx aggregation win at 512 readings "
+                "(gate >= %.0fx)\n",
+                win, kMinWin);
+    return 0;
+  }
+
   std::puts("=== CLM-1: protocol header overhead vs aggregation (§II.1) ===\n");
   std::printf("reading payload: %zu bytes; UDP header stack: %zu bytes; "
               "TCP: %zu; TCP session: %zu\n\n",
@@ -61,102 +137,9 @@ int main() {
                                rows)
                 .c_str());
 
-  // Measured end-to-end through the framework's byte accounting.
-  std::puts("Measured through the framework (ESP with traffic accounting):");
-  std::vector<std::vector<std::string>> measured;
-  for (std::size_t batch : {1u, 8u, 64u, 512u}) {
-    core::DeploymentConfig config;
-    config.sampling.sample_period = 100 * util::kMillisecond;
-    config.sampling.log_capacity = 4096;
-    core::Deployment lab(config);
-    auto esp = lab.add_temperature_sensor("Metered");
-    esp->attach_network(lab.network());
-    lab.pump(static_cast<util::SimDuration>(batch) * 100 *
-             util::kMillisecond);
-
-    lab.network().reset_stats();
-    for (std::size_t i = 0; i < batch; ++i) {
-      auto task = sorcer::Task::make(
-          "t", sorcer::Signature{core::kSensorDataAccessorType,
-                                 core::op::kGetValue, "Metered"});
-      (void)sorcer::exert(task, lab.accessor());
-    }
-    const double polled =
-        static_cast<double>(lab.network().totals().payload_bytes_sent +
-                            lab.network().totals().header_bytes_sent) /
-        static_cast<double>(batch);
-
-    lab.network().reset_stats();
-    auto log_task = sorcer::Task::make(
-        "t", sorcer::Signature{core::kSensorDataAccessorType,
-                               core::op::kGetLog, "Metered"});
-    log_task->context().put(core::path::kLogSince, 0.0);
-    (void)sorcer::exert(log_task, lab.accessor());
-    const double batched =
-        static_cast<double>(lab.network().totals().payload_bytes_sent +
-                            lab.network().totals().header_bytes_sent) /
-        static_cast<double>(batch);
-
-    measured.push_back({std::to_string(batch),
-                        util::format("%.1f", polled),
-                        util::format("%.1f", batched),
-                        util::format("%.1fx", polled / batched)});
-  }
-  std::puts(util::render_table(
-                {"readings", "polled B/r", "aggregated B/r", "win"},
-                measured)
-                .c_str());
-
-  // Same exertions over the wire transport: every getValue/getLog is now a
-  // real request/response Message pair, so each reading additionally pays
-  // the response envelope plus trace-propagation headers. The aggregation
-  // shape must survive the transport switch.
-  std::puts("Measured over the wire transport (invoke.transport = kWire):");
-  std::vector<std::vector<std::string>> wired;
-  for (std::size_t batch : {1u, 8u, 64u, 512u}) {
-    core::DeploymentConfig config;
-    config.sampling.sample_period = 100 * util::kMillisecond;
-    config.sampling.log_capacity = 4096;
-    config.invoke.transport = sorcer::Transport::kWire;
-    core::Deployment lab(config);
-    lab.add_temperature_sensor("Metered");
-    lab.pump(static_cast<util::SimDuration>(batch) * 100 *
-             util::kMillisecond);
-
-    lab.network().reset_stats();
-    for (std::size_t i = 0; i < batch; ++i) {
-      auto task = sorcer::Task::make(
-          "t", sorcer::Signature{core::kSensorDataAccessorType,
-                                 core::op::kGetValue, "Metered"});
-      (void)sorcer::exert(task, lab.accessor());
-    }
-    const double polled =
-        static_cast<double>(lab.network().totals().payload_bytes_sent +
-                            lab.network().totals().header_bytes_sent) /
-        static_cast<double>(batch);
-
-    lab.network().reset_stats();
-    auto log_task = sorcer::Task::make(
-        "t", sorcer::Signature{core::kSensorDataAccessorType,
-                               core::op::kGetLog, "Metered"});
-    log_task->context().put(core::path::kLogSince, 0.0);
-    (void)sorcer::exert(log_task, lab.accessor());
-    const double batched =
-        static_cast<double>(lab.network().totals().payload_bytes_sent +
-                            lab.network().totals().header_bytes_sent) /
-        static_cast<double>(batch);
-
-    wired.push_back({std::to_string(batch),
-                     util::format("%.1f", polled),
-                     util::format("%.1f", batched),
-                     util::format("%.1fx", polled / batched)});
-  }
-  std::puts(util::render_table(
-                {"readings", "polled B/r", "aggregated B/r", "win"},
-                wired)
-                .c_str());
+  (void)run_measured();
   std::puts("Expected shape: polling cost flat and header-dominated; "
             "aggregated cost falls with batch size (paper's aggregation "
-            "argument holds on both transports).");
+            "argument).");
   return 0;
 }

@@ -7,8 +7,8 @@
 //     collection — expected ≥10× cheaper than cold;
 //   * coalesced reads: N concurrent readers share one in-flight fan-out
 //     (single-flight), measured with google-benchmark's thread mode;
-//   * direct fallback: no rendezvous peer on the network — pool-parallel
-//     vs sequential child invocation;
+//   * direct fallback: no rendezvous peer on the network — the CSP issues
+//     its children as one scatter-gather batch on the fabric;
 //   * expression evaluation: tree-walking interpreter (shared and
 //     per-read-environment variants, the old read path) vs the
 //     slot-compiled program (the new one).
@@ -32,13 +32,12 @@ namespace {
 /// A deployment with `fanout` flat temperature ESPs composed into one CSP.
 struct ReadLab {
   ReadLab(std::size_t fanout, util::SimDuration freshness,
-          bool with_rendezvous = true, std::size_t worker_threads = 4) {
+          bool with_rendezvous = true) {
     core::DeploymentConfig config;
     config.sampling.sample_period = 0;  // on-demand probe reads only
     config.collection.freshness = freshness;
     config.with_jobber = with_rendezvous;
     config.with_spacer = with_rendezvous;
-    config.worker_threads = worker_threads;
     lab = std::make_unique<core::Deployment>(config);
     for (std::size_t i = 0; i < fanout; ++i) {
       lab->add_temperature_sensor("S" + std::to_string(i),
@@ -101,11 +100,11 @@ void BM_CoalescedRead(benchmark::State& state) {
 }
 BENCHMARK(BM_CoalescedRead)->Threads(1)->Threads(4)->Threads(8);
 
-// --- direct fallback: parallel vs sequential ---------------------------------
+// --- direct fallback ----------------------------------------------------------
 
-void BM_DirectFanoutParallel(benchmark::State& state) {
+void BM_DirectFanout(benchmark::State& state) {
   ReadLab lab(static_cast<std::size_t>(state.range(0)), /*freshness=*/0,
-              /*with_rendezvous=*/false, /*worker_threads=*/4);
+              /*with_rendezvous=*/false);
   for (auto _ : state) {
     auto v = lab.csp->get_value();
     benchmark::DoNotOptimize(v);
@@ -113,19 +112,7 @@ void BM_DirectFanoutParallel(benchmark::State& state) {
   state.counters["sim_latency_us"] =
       static_cast<double>(lab.csp->last_collection_latency());
 }
-BENCHMARK(BM_DirectFanoutParallel)->RangeMultiplier(4)->Range(2, 32);
-
-void BM_DirectFanoutSequential(benchmark::State& state) {
-  ReadLab lab(static_cast<std::size_t>(state.range(0)), /*freshness=*/0,
-              /*with_rendezvous=*/false, /*worker_threads=*/0);
-  for (auto _ : state) {
-    auto v = lab.csp->get_value();
-    benchmark::DoNotOptimize(v);
-  }
-  state.counters["sim_latency_us"] =
-      static_cast<double>(lab.csp->last_collection_latency());
-}
-BENCHMARK(BM_DirectFanoutSequential)->RangeMultiplier(4)->Range(2, 32);
+BENCHMARK(BM_DirectFanout)->RangeMultiplier(4)->Range(2, 32);
 
 // --- expression evaluation: tree-walk vs slot-compiled -----------------------
 

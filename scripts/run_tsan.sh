@@ -2,8 +2,8 @@
 # Build and run the tier-1 test suite under ThreadSanitizer.
 #
 # The obs hot paths (Counter/Gauge/Histogram updates, SpanCollector::record)
-# are exercised from the Jobber/Spacer worker pools; this is the standing
-# proof they stay race-free. Usage:
+# are exercised from concurrent readers and the historian's read executor;
+# this is the standing proof they stay race-free. Usage:
 #
 #   scripts/run_tsan.sh [build-dir]    # default build-tsan
 #

@@ -27,7 +27,6 @@
 #include "sorcer/invoke.h"
 #include "sorcer/jobber.h"
 #include "sorcer/spacer.h"
-#include "util/thread_pool.h"
 
 namespace sensorcer::core {
 
@@ -43,13 +42,13 @@ struct DeploymentConfig {
   bool with_jobber = true;
   bool with_spacer = true;
   std::size_t spacer_workers = 4;
-  /// 0 = no real thread pool (rendezvous peers run inline).
+  /// Read by nothing; kept only because sensorcer_e2e/harness.cpp assigns it.
   std::size_t worker_threads = 4;
   util::SimDuration lease_duration = 30 * util::kSecond;
   util::SimDuration network_latency = 200 * util::kMicrosecond;
-  /// Invocation pipeline settings. kInProcess (the default) keeps direct
-  /// virtual calls with modeled byte accounting; kWire puts every
-  /// service-to-service call on the fabric as request/response messages.
+  /// Invocation pipeline settings (call and ping deadlines). Every
+  /// service-to-service call crosses the fabric as a request/response
+  /// message pair encoded by the flat codec.
   sorcer::InvokeConfig invoke;
   rio::MonitorConfig monitor;
   CollectionPolicy collection;
@@ -103,7 +102,6 @@ class Deployment {
   registry::DiscoveryManager& discovery() { return discovery_; }
   sorcer::ServiceAccessor& accessor() { return accessor_; }
   sorcer::RemoteInvoker& invoker() { return *invoker_; }
-  util::ThreadPool* pool() { return pool_.get(); }
   sorcer::ExertSpace& space() { return space_; }
 
   const std::vector<std::shared_ptr<registry::LookupService>>& lookups()
@@ -141,7 +139,6 @@ class Deployment {
   // destruction, so the fabric must outlive it.
   std::unique_ptr<sorcer::RemoteInvoker> invoker_;
   sorcer::ServiceAccessor accessor_;
-  std::unique_ptr<util::ThreadPool> pool_;
   sorcer::ExertSpace space_;
   std::shared_ptr<sorcer::Jobber> jobber_;
   std::shared_ptr<sorcer::Spacer> spacer_;

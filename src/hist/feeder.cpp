@@ -127,8 +127,8 @@ void HistorianFeeder::backfill(const sensor::DataLog& log) {
 void HistorianFeeder::schedule_flush() {
   if (flush_scheduled_ || flushing_) return;
   flush_scheduled_ = true;
-  // Zero-delay timer: all push traffic happens inside scheduler pumps, so a
-  // wire-mode exert never starts from the middle of an offer().
+  // Zero-delay timer: all push traffic happens inside scheduler pumps, so an
+  // exert never starts from the middle of an offer().
   pending_flush_timer_ = scheduler_.schedule_after(0, [this] {
     flush_scheduled_ = false;
     pending_flush_timer_ = 0;

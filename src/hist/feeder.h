@@ -3,8 +3,8 @@
 //
 // Each sampling provider owns one feeder. Sampled readings are offered to
 // it; the feeder batches them and exerts appendBatch tasks at the historian
-// through the deployment's invocation pipeline (so under Transport::kWire
-// every push really crosses the fabric, marshalled and byte-accounted).
+// through the deployment's invocation pipeline (so every push really
+// crosses the fabric, marshalled and byte-accounted).
 //
 // The binding to the historian is event-driven and lease-bound: the feeder
 // registers a leased notify() subscription on the lookup service for
@@ -76,7 +76,7 @@ class HistorianFeeder {
 
   /// Push pending readings now (also the timer body): all max_batch chunks
   /// go out as one pipelined scatter-gather batch (overlapped round-trips
-  /// under wire transport); failed chunks re-queue at the front of the
+  /// on the fabric); failed chunks re-queue at the front of the
   /// pending window. Returns readings successfully pushed in this call.
   std::size_t flush();
 

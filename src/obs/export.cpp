@@ -32,48 +32,21 @@ std::string quoted(const std::string& s) {
   return out;
 }
 
-}  // namespace
-
-std::string render_table(const Snapshot& snapshot) {
-  std::vector<std::vector<std::string>> rows;
-  for (const auto& [name, value] : snapshot.counters) {
-    rows.push_back({name, "counter", std::to_string(value)});
-  }
-  for (const auto& [name, value] : snapshot.gauges) {
-    rows.push_back({name, "gauge", number(value)});
-  }
-  for (const auto& h : snapshot.histograms) {
-    rows.push_back({h.name, "histogram",
-                    util::format("n=%llu mean=%s p50=%s p99=%s max=%s",
-                                 static_cast<unsigned long long>(h.count),
-                                 number(h.mean).c_str(), number(h.p50).c_str(),
-                                 number(h.p99).c_str(), number(h.max).c_str())});
-  }
-  std::sort(rows.begin(), rows.end());
-  return util::render_table({"metric", "kind", "value"}, rows);
-}
-
-std::string to_json_line(const Snapshot& snapshot) {
-  std::string out = "{\"sim_time_us\":" + std::to_string(snapshot.sim_time);
-
-  out += ",\"counters\":{";
-  auto counters = snapshot.counters;
+std::string json_counters(
+    std::vector<std::pair<std::string, std::uint64_t>> counters) {
   std::sort(counters.begin(), counters.end());
+  std::string out = "{";
   for (std::size_t i = 0; i < counters.size(); ++i) {
     if (i > 0) out += ',';
     out += quoted(counters[i].first) + ":" + std::to_string(counters[i].second);
   }
-  out += "},\"gauges\":{";
-  auto gauges = snapshot.gauges;
-  std::sort(gauges.begin(), gauges.end());
-  for (std::size_t i = 0; i < gauges.size(); ++i) {
-    if (i > 0) out += ',';
-    out += quoted(gauges[i].first) + ":" + number(gauges[i].second);
-  }
-  out += "},\"histograms\":{";
-  auto histograms = snapshot.histograms;
+  return out + "}";
+}
+
+std::string json_histograms(std::vector<HistogramSnapshot> histograms) {
   std::sort(histograms.begin(), histograms.end(),
             [](const auto& a, const auto& b) { return a.name < b.name; });
+  std::string out = "{";
   for (std::size_t i = 0; i < histograms.size(); ++i) {
     if (i > 0) out += ',';
     const auto& h = histograms[i];
@@ -82,8 +55,52 @@ std::string to_json_line(const Snapshot& snapshot) {
            ",\"p50\":" + number(h.p50) + ",\"p90\":" + number(h.p90) +
            ",\"p99\":" + number(h.p99) + ",\"max\":" + number(h.max) + "}";
   }
-  out += "}}";
-  return out;
+  return out + "}";
+}
+
+}  // namespace
+
+std::string render_table(const Snapshot& snapshot) {
+  std::vector<std::vector<std::string>> rows;
+  const auto histogram_value = [](const HistogramSnapshot& h) {
+    return util::format("n=%llu mean=%s p50=%s p99=%s max=%s",
+                        static_cast<unsigned long long>(h.count),
+                        number(h.mean).c_str(), number(h.p50).c_str(),
+                        number(h.p99).c_str(), number(h.max).c_str());
+  };
+  for (const auto& [name, value] : snapshot.counters) {
+    rows.push_back({name, "counter", std::to_string(value)});
+  }
+  for (const auto& [name, value] : snapshot.gauges) {
+    rows.push_back({name, "gauge", number(value)});
+  }
+  for (const auto& h : snapshot.histograms) {
+    rows.push_back({h.name, "histogram", histogram_value(h)});
+  }
+  for (const auto& [name, value] : snapshot.wall_counters) {
+    rows.push_back({name, "wall counter", std::to_string(value)});
+  }
+  for (const auto& h : snapshot.wall_histograms) {
+    rows.push_back({h.name, "wall histogram", histogram_value(h)});
+  }
+  std::sort(rows.begin(), rows.end());
+  return util::render_table({"metric", "kind", "value"}, rows);
+}
+
+std::string to_json_line(const Snapshot& snapshot) {
+  std::string out = "{\"sim_time_us\":" + std::to_string(snapshot.sim_time);
+  out += ",\"counters\":" + json_counters(snapshot.counters);
+  out += ",\"gauges\":{";
+  auto gauges = snapshot.gauges;
+  std::sort(gauges.begin(), gauges.end());
+  for (std::size_t i = 0; i < gauges.size(); ++i) {
+    if (i > 0) out += ',';
+    out += quoted(gauges[i].first) + ":" + number(gauges[i].second);
+  }
+  out += "},\"histograms\":" + json_histograms(snapshot.histograms);
+  out += ",\"wall_counters\":" + json_counters(snapshot.wall_counters);
+  out += ",\"wall_histograms\":" + json_histograms(snapshot.wall_histograms);
+  return out + "}";
 }
 
 std::string render_trace_tree(const std::vector<SpanRecord>& spans) {

@@ -17,7 +17,8 @@ namespace sensorcer::obs {
 
 /// One-line JSON object:
 /// {"sim_time_us":N,"counters":{...},"gauges":{...},"histograms":{"name":
-/// {"count":..,"sum":..,"mean":..,"p50":..,"p90":..,"p99":..,"max":..}}}
+/// {"count":..,"sum":..,"mean":..,"p50":..,"p90":..,"p99":..,"max":..}},
+/// "wall_counters":{...},"wall_histograms":{...}}
 /// Keys are name-sorted, numbers are locale-independent — two snapshots of
 /// identical state serialize byte-identically (trajectory diffing).
 [[nodiscard]] std::string to_json_line(const Snapshot& snapshot);

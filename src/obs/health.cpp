@@ -84,10 +84,10 @@ std::string render_federation_health(const Snapshot& snap) {
                   std::to_string(snap.counter_or("sorcer.exert_failures")) +
                       " / " +
                       std::to_string(snap.counter_or("sorcer.substitutions"))});
-  rows.push_back({"invoke", "calls wire / in-process",
+  rows.push_back({"invoke", "calls wire / direct",
                   std::to_string(snap.counter_or("invoke.wire_calls")) +
                       " / " +
-                      std::to_string(snap.counter_or("invoke.inprocess_calls"))});
+                      std::to_string(snap.counter_or("invoke.direct_calls"))});
   rows.push_back({"invoke", "timeouts / late responses",
                   std::to_string(snap.counter_or("invoke.timeouts")) + " / " +
                       std::to_string(snap.counter_or("invoke.late_responses"))});

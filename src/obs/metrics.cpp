@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace sensorcer::obs {
 
@@ -76,42 +77,79 @@ void Histogram::reset() {
   max_.store(0.0, std::memory_order_relaxed);
 }
 
-void Snapshot::merge(const Snapshot& other) {
-  sim_time = std::max(sim_time, other.sim_time);
-  const auto fold = [](auto& mine, const auto& theirs) {
-    for (const auto& entry : theirs) {
-      auto it = std::find_if(mine.begin(), mine.end(), [&](const auto& e) {
-        return e.first == entry.first;
-      });
-      if (it == mine.end()) {
-        mine.push_back(entry);
-      } else {
-        it->second += entry.second;
-      }
+namespace {
+
+/// Fold `theirs` into `mine` by name: counters and gauges sum.
+template <typename Entries>
+void fold_sums(Entries& mine, const Entries& theirs) {
+  for (const auto& entry : theirs) {
+    auto it = std::find_if(mine.begin(), mine.end(), [&](const auto& e) {
+      return e.first == entry.first;
+    });
+    if (it == mine.end()) {
+      mine.push_back(entry);
+    } else {
+      it->second += entry.second;
     }
-    std::sort(mine.begin(), mine.end());
-  };
-  fold(counters, other.counters);
-  fold(gauges, other.gauges);
-  for (const auto& h : other.histograms) {
-    // Histograms do not sum meaningfully from snapshots; keep both, with
-    // name collisions resolved in favour of the larger population.
-    auto it = std::find_if(histograms.begin(), histograms.end(),
-                           [&](const auto& mine) { return mine.name == h.name; });
-    if (it == histograms.end()) {
-      histograms.push_back(h);
+  }
+  std::sort(mine.begin(), mine.end());
+}
+
+/// Histograms do not sum meaningfully from snapshots; keep both, with name
+/// collisions resolved in favour of the larger population.
+void fold_histograms(std::vector<HistogramSnapshot>& mine,
+                     const std::vector<HistogramSnapshot>& theirs) {
+  for (const auto& h : theirs) {
+    auto it = std::find_if(mine.begin(), mine.end(),
+                           [&](const auto& m) { return m.name == h.name; });
+    if (it == mine.end()) {
+      mine.push_back(h);
     } else if (h.count > it->count) {
       *it = h;
     }
   }
-  std::sort(histograms.begin(), histograms.end(),
+  std::sort(mine.begin(), mine.end(),
             [](const auto& a, const auto& b) { return a.name < b.name; });
+}
+
+HistogramSnapshot snapshot_of(const std::string& name, const Histogram& h) {
+  HistogramSnapshot hs;
+  hs.name = name;
+  hs.count = h.count();
+  hs.sum = h.sum();
+  hs.mean = h.mean();
+  hs.p50 = h.percentile(50);
+  hs.p90 = h.percentile(90);
+  hs.p99 = h.percentile(99);
+  hs.max = h.max();
+  return hs;
+}
+
+template <typename Instrument, typename... Args>
+Instrument& resolve(std::map<std::string, std::unique_ptr<Instrument>>& map,
+                    const std::string& name, Args&&... args) {
+  auto& slot = map[name];
+  if (!slot) slot = std::make_unique<Instrument>(std::forward<Args>(args)...);
+  return *slot;
+}
+
+}  // namespace
+
+void Snapshot::merge(const Snapshot& other) {
+  sim_time = std::max(sim_time, other.sim_time);
+  fold_sums(counters, other.counters);
+  fold_sums(gauges, other.gauges);
+  fold_histograms(histograms, other.histograms);
+  fold_sums(wall_counters, other.wall_counters);
+  fold_histograms(wall_histograms, other.wall_histograms);
 }
 
 std::uint64_t Snapshot::counter_or(const std::string& name,
                                    std::uint64_t fallback) const {
-  for (const auto& [n, v] : counters) {
-    if (n == name) return v;
+  for (const auto* kind : {&counters, &wall_counters}) {
+    for (const auto& [n, v] : *kind) {
+      if (n == name) return v;
+    }
   }
   return fallback;
 }
@@ -124,32 +162,39 @@ double Snapshot::gauge_or(const std::string& name, double fallback) const {
 }
 
 const HistogramSnapshot* Snapshot::histogram(const std::string& name) const {
-  for (const auto& h : histograms) {
-    if (h.name == name) return &h;
+  for (const auto* kind : {&histograms, &wall_histograms}) {
+    for (const auto& h : *kind) {
+      if (h.name == name) return &h;
+    }
   }
   return nullptr;
 }
 
 Counter& Registry::counter(const std::string& name) {
   std::lock_guard lock(mu_);
-  auto& slot = counters_[name];
-  if (!slot) slot = std::make_unique<Counter>();
-  return *slot;
+  return resolve(counters_, name);
 }
 
 Gauge& Registry::gauge(const std::string& name) {
   std::lock_guard lock(mu_);
-  auto& slot = gauges_[name];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return *slot;
+  return resolve(gauges_, name);
+}
+
+Counter& Registry::wall_counter(const std::string& name) {
+  std::lock_guard lock(mu_);
+  return resolve(wall_counters_, name);
 }
 
 Histogram& Registry::histogram(const std::string& name,
                                std::vector<double> bounds) {
   std::lock_guard lock(mu_);
-  auto& slot = histograms_[name];
-  if (!slot) slot = std::make_unique<Histogram>(std::move(bounds));
-  return *slot;
+  return resolve(histograms_, name, std::move(bounds));
+}
+
+Histogram& Registry::wall_histogram(const std::string& name,
+                                    std::vector<double> bounds) {
+  std::lock_guard lock(mu_);
+  return resolve(wall_histograms_, name, std::move(bounds));
 }
 
 Snapshot Registry::snapshot(util::SimTime sim_time) const {
@@ -163,16 +208,13 @@ Snapshot Registry::snapshot(util::SimTime sim_time) const {
     out.gauges.emplace_back(name, g->value());
   }
   for (const auto& [name, h] : histograms_) {
-    HistogramSnapshot hs;
-    hs.name = name;
-    hs.count = h->count();
-    hs.sum = h->sum();
-    hs.mean = h->mean();
-    hs.p50 = h->percentile(50);
-    hs.p90 = h->percentile(90);
-    hs.p99 = h->percentile(99);
-    hs.max = h->max();
-    out.histograms.push_back(std::move(hs));
+    out.histograms.push_back(snapshot_of(name, *h));
+  }
+  for (const auto& [name, c] : wall_counters_) {
+    out.wall_counters.emplace_back(name, c->value());
+  }
+  for (const auto& [name, h] : wall_histograms_) {
+    out.wall_histograms.push_back(snapshot_of(name, *h));
   }
   return out;
 }
@@ -182,6 +224,8 @@ void Registry::reset() {
   for (auto& [name, c] : counters_) c->reset();
   for (auto& [name, g] : gauges_) g->reset();
   for (auto& [name, h] : histograms_) h->reset();
+  for (auto& [name, c] : wall_counters_) c->reset();
+  for (auto& [name, h] : wall_histograms_) h->reset();
 }
 
 Registry& Registry::global() {

@@ -124,12 +124,19 @@ struct Snapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::vector<std::pair<std::string, double>> gauges;
   std::vector<HistogramSnapshot> histograms;
+  /// Wall-clock instruments (Registry::wall_counter/wall_histogram). They
+  /// differ between runs, so they are kept apart from the virtual-time
+  /// metrics above, which repeat exactly for identical runs.
+  std::vector<std::pair<std::string, std::uint64_t>> wall_counters;
+  std::vector<HistogramSnapshot> wall_histograms;
 
   /// Fold another snapshot in (used to combine the global registry with a
   /// Network's private registry for the federation health report). Entries
   /// with the same name are summed.
   void merge(const Snapshot& other);
 
+  /// Counter and histogram lookups cover both the virtual-time and the
+  /// wall-clock instruments.
   [[nodiscard]] std::uint64_t counter_or(const std::string& name,
                                          std::uint64_t fallback = 0) const;
   [[nodiscard]] double gauge_or(const std::string& name,
@@ -151,6 +158,11 @@ class Registry {
   /// `bounds` applies only on first creation of `name`.
   Histogram& histogram(const std::string& name,
                        std::vector<double> bounds = {});
+  /// Instruments that measure host wall-clock time (codec CPU, executor
+  /// queue waits) rather than virtual time; snapshots report them apart.
+  Counter& wall_counter(const std::string& name);
+  Histogram& wall_histogram(const std::string& name,
+                            std::vector<double> bounds = {});
 
   [[nodiscard]] Snapshot snapshot(util::SimTime sim_time = 0) const;
 
@@ -165,6 +177,8 @@ class Registry {
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+  std::map<std::string, std::unique_ptr<Counter>> wall_counters_;
+  std::map<std::string, std::unique_ptr<Histogram>> wall_histograms_;
 };
 
 /// Shorthand for Registry::global().

@@ -60,8 +60,8 @@ struct TrafficStats {
 };
 
 /// The fabric. Message traffic runs on the single-threaded virtual-time
-/// scheduler; only account_rpc() is thread-safe, because providers invoked
-/// from the Jobber's parallel flow charge RPCs concurrently.
+/// scheduler; only account_rpc() is thread-safe, because registry lookups
+/// may charge their modeled RPC from any thread.
 ///
 /// Traffic totals live in a per-network obs::Registry (the one source of
 /// truth for byte/drop accounting): totals() is derived from those
@@ -128,9 +128,11 @@ class Network {
   std::size_t multicast(Address group, Message msg);
 
   /// Account traffic for a modeled synchronous RPC without scheduling a
-  /// delivery (the call itself happens as a direct in-process invocation).
-  /// Charges `request_bytes` from source and `response_bytes` from the
-  /// callee back, both under `p`.
+  /// delivery (the call itself happens as a direct invocation). Charges
+  /// `request_bytes` from source and `response_bytes` from the callee back,
+  /// both under `p`. The registry federation's lookup RPC
+  /// (RegistryFederation::charge_rpc) is the only caller; every service
+  /// invocation crosses the fabric as real messages instead.
   void account_rpc(Address source, Address callee, std::size_t request_bytes,
                    std::size_t response_bytes, Protocol p = Protocol::kTcp);
 

@@ -68,13 +68,6 @@ class ServiceAccessor {
   void set_invoker(RemoteInvoker* invoker) { invoker_ = invoker; }
   [[nodiscard]] RemoteInvoker* invoker() const { return invoker_; }
 
-  /// True when dispatches through this accessor cross the simnet fabric —
-  /// blocking wire calls pump the single-threaded virtual-time scheduler,
-  /// so rendezvous peers and fan-outs must not park pool threads on them.
-  [[nodiscard]] bool wire_transport() const {
-    return invoker_ != nullptr && invoker_->transport() == Transport::kWire;
-  }
-
   void clear_cache();
 
   /// Disable/enable the resolution cache (ablation studies; enabled by

@@ -2,11 +2,11 @@
 // The zero-copy wire path: flat binary exertion codec, interned context
 // paths, arena-backed intern storage and recycled payload buffers.
 //
-// PR 3-6 funnelled every S2S call through sorcer/invoke, which makes the
-// exertion envelope the system-wide constant factor. The legacy envelope
-// (still modeled by ServiceContext::wire_bytes() for the kInProcess
-// transport) re-encodes every slash-separated path as a full string on every
-// hop and rebuilds a node-per-entry map on every decode. The flat codec
+// Every S2S call goes through sorcer/invoke, which makes the exertion
+// envelope the system-wide constant factor. The legacy envelope (the size
+// ServiceContext::wire_bytes() models) re-encodes every slash-separated path
+// as a full string on every hop and rebuilds a node-per-entry map on every
+// decode. The flat codec
 // replaces that with small parallel records:
 //
 //   [varint name_len][name bytes]

@@ -1,13 +1,11 @@
 #include "sorcer/exert.h"
 
-#include <future>
 #include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sorcer/invoke.h"
 #include "sorcer/servicer.h"
-#include "util/thread_pool.h"
 
 namespace sensorcer::sorcer {
 
@@ -31,9 +29,9 @@ util::Result<ExertionPtr> exert_impl(const ExertionPtr& exertion,
                                      registry::Transaction* txn) {
   if (exertion->kind() == Exertion::Kind::kTask) {
     auto task = std::static_pointer_cast<Task>(exertion);
-    // Service substitution (§V.A): when a provider is unavailable — or,
-    // under wire transport, unreachable within the call deadline — pass the
-    // request on to an equivalent provider matching the same signature.
+    // Service substitution (§V.A): when a provider is unavailable or
+    // unreachable within the call deadline, pass the request on to an
+    // equivalent provider matching the same signature.
     // A pinned provider name means "this provider, exactly" — no
     // substitution (and the original error is preserved).
     const int kMaxAttempts = task->signature().provider_name.empty() ? 3 : 1;
@@ -248,22 +246,12 @@ util::Result<ExertionPtr> exert(const ExertionPtr& exertion,
 }
 
 FanOut exert_all(const std::vector<ExertionPtr>& batch,
-                 ServiceAccessor& accessor, registry::Transaction* txn,
-                 util::ThreadPool* pool) {
+                 ServiceAccessor& accessor, registry::Transaction* txn) {
   if (batch.empty()) return FanOut::kSequence;
-  // Under wire transport, concurrency comes from the fabric: scatter all
-  // the requests, gather with one shared pump. Threads would only serialize
-  // behind the single virtual-time scheduler.
-  if (accessor.wire_transport()) return exert_all_wire(batch, accessor, txn);
-  if (pool != nullptr && batch.size() > 1) {
-    std::vector<std::future<void>> futures;
-    futures.reserve(batch.size());
-    for (const auto& exertion : batch) {
-      futures.push_back(pool->submit(
-          [&accessor, exertion, txn] { (void)exert(exertion, accessor, txn); }));
-    }
-    for (auto& f : futures) f.get();
-    return FanOut::kPooled;
+  // Concurrency comes from the fabric: scatter all the requests, gather
+  // with one shared pump.
+  if (accessor.invoker() != nullptr) {
+    return exert_all_wire(batch, accessor, txn);
   }
   for (const auto& exertion : batch) (void)exert(exertion, accessor, txn);
   return FanOut::kSequence;

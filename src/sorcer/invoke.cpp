@@ -3,13 +3,11 @@
 #include <any>
 #include <cassert>
 #include <chrono>
-#include <future>
 
 #include "obs/metrics.h"
 #include "sorcer/accessor.h"
 #include "sorcer/provider.h"
 #include "util/strings.h"
-#include "util/thread_pool.h"
 
 namespace sensorcer::sorcer {
 
@@ -18,7 +16,7 @@ namespace {
 struct InvokeMetrics {
   obs::Counter& calls;
   obs::Counter& wire_calls;
-  obs::Counter& inprocess_calls;
+  obs::Counter& direct_calls;
   obs::Counter& timeouts;
   obs::Counter& late_responses;
   obs::Counter& pings;
@@ -34,14 +32,14 @@ struct InvokeMetrics {
 InvokeMetrics& invoke_metrics() {
   static InvokeMetrics m{obs::metrics().counter("invoke.calls"),
                          obs::metrics().counter("invoke.wire_calls"),
-                         obs::metrics().counter("invoke.inprocess_calls"),
+                         obs::metrics().counter("invoke.direct_calls"),
                          obs::metrics().counter("invoke.timeouts"),
                          obs::metrics().counter("invoke.late_responses"),
                          obs::metrics().counter("invoke.pings"),
                          obs::metrics().counter("invoke.ping_failures"),
                          obs::metrics().counter("invoke.idle_waits"),
                          obs::metrics().counter("invoke.overlap_saved_ns"),
-                         obs::metrics().counter("invoke.marshal_ns"),
+                         obs::metrics().wall_counter("invoke.marshal_ns"),
                          obs::metrics().counter(
                              "invoke.codec_desyncs.response"),
                          obs::metrics().gauge("invoke.outstanding"),
@@ -60,25 +58,6 @@ struct MarshalTimer {
             .count()));
   }
 };
-
-/// The historical direct-call path, shared by the invoker's kInProcess mode
-/// and by call sites with no invoker wired at all: a direct virtual call,
-/// with the RPC's bytes modeled against the provider's endpoint when it has
-/// a fabric attached (exactly what ServiceProvider::service used to charge).
-util::Result<ExertionPtr> in_process_call(
-    ServiceProvider* provider, const std::shared_ptr<Servicer>& servicer,
-    const ExertionPtr& exertion, registry::Transaction* txn) {
-  const std::size_t request_bytes =
-      exertion->context().wire_bytes() + wire::kRequestEnvelopeBytes;
-  auto result = servicer->service(exertion, txn);
-  if (provider != nullptr && provider->network() != nullptr) {
-    provider->network()->account_rpc(provider->network_address(),
-                                     provider->network_address(),
-                                     request_bytes,
-                                     exertion->context().wire_bytes());
-  }
-  return result;
-}
 
 }  // namespace
 
@@ -226,14 +205,12 @@ PendingCall RemoteInvoker::begin_invoke(
   }
   invoke_metrics().calls.add(1);
   auto* provider = dynamic_cast<ServiceProvider*>(servicer.get());
-  const bool wire_eligible = config_.transport == Transport::kWire &&
-                             provider != nullptr &&
-                             provider->network() == &net_ &&
-                             net_.is_attached(provider->network_address());
-  if (!wire_eligible) {
-    invoke_metrics().inprocess_calls.add(1);
+  if (provider == nullptr || provider->network() != &net_ ||
+      !net_.is_attached(provider->network_address())) {
+    // Not reachable over this fabric: a direct call, charging no bytes.
+    invoke_metrics().direct_calls.add(1);
     call.completed_ = true;
-    call.result_.emplace(in_process_call(provider, servicer, exertion, txn));
+    call.result_.emplace(servicer->service(exertion, txn));
     return call;
   }
 
@@ -300,9 +277,9 @@ void RemoteInvoker::finish_call(PendingCall& call, const Arrival* arrival) {
   if (arrival != nullptr) {
     // The round trip advanced the virtual clock by the real wire delays
     // plus the provider's modeled service time; top the exertion's latency
-    // account up to what the requestor actually waited, so wire-mode
-    // latency reflects transport cost too (never less than the modeled
-    // in-process figure).
+    // account up to what the requestor actually waited, so latency
+    // reflects transport cost too (never less than the provider's modeled
+    // figure).
     call.elapsed_ = arrival->at - call.started_;
     const util::SimDuration accrued =
         call.exertion_->latency() - call.accrued_before_;
@@ -434,8 +411,7 @@ util::Status RemoteInvoker::ping(simnet::Address target,
 util::Result<ExertionPtr> ServicerStub::exert(const ExertionPtr& exertion,
                                               registry::Transaction* txn) {
   if (invoker_ != nullptr) return invoker_->invoke(servicer_, exertion, txn);
-  return in_process_call(dynamic_cast<ServiceProvider*>(servicer_.get()),
-                         servicer_, exertion, txn);
+  return servicer_->service(exertion, txn);
 }
 
 util::Result<ExertionPtr> invoke_servicer(
@@ -448,20 +424,18 @@ util::Result<ExertionPtr> invoke_servicer(
   if (RemoteInvoker* invoker = accessor.invoker(); invoker != nullptr) {
     return invoker->invoke(servicer, exertion, txn);
   }
-  // No invoker wired (bare accessor, unit tests): the historical direct
-  // call, still byte-modeled when the provider sits on a fabric.
-  return in_process_call(dynamic_cast<ServiceProvider*>(servicer.get()),
-                         servicer, exertion, txn);
+  // No invoker wired (bare accessor, unit tests): a direct call.
+  return servicer->service(exertion, txn);
 }
 
 FanOut invoke_servicer_all(
     ServiceAccessor& accessor,
     const std::vector<std::pair<std::shared_ptr<Servicer>, ExertionPtr>>&
         calls,
-    registry::Transaction* txn, util::ThreadPool* pool) {
+    registry::Transaction* txn) {
   if (calls.empty()) return FanOut::kSequence;
   RemoteInvoker* invoker = accessor.invoker();
-  if (invoker != nullptr && invoker->transport() == Transport::kWire) {
+  if (invoker != nullptr) {
     // Scatter every request onto the fabric, then gather them with one
     // shared pump: the round-trips overlap in virtual time.
     std::vector<PendingCall> pending;
@@ -478,17 +452,6 @@ FanOut invoke_servicer_all(
     // Outcomes landed on the exertions; return the call shells to the pool.
     for (PendingCall& call : pending) invoker->recycle(std::move(call));
     return FanOut::kWire;
-  }
-  if (pool != nullptr && calls.size() > 1) {
-    std::vector<std::future<void>> futures;
-    futures.reserve(calls.size());
-    for (const auto& [servicer, exertion] : calls) {
-      futures.push_back(pool->submit([&accessor, servicer, exertion, txn] {
-        (void)invoke_servicer(accessor, servicer, exertion, txn);
-      }));
-    }
-    for (auto& f : futures) f.get();
-    return FanOut::kPooled;
   }
   for (const auto& [servicer, exertion] : calls) {
     (void)invoke_servicer(accessor, servicer, exertion, txn);

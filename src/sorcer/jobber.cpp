@@ -22,11 +22,8 @@ JobMetrics& jobber_metrics() {
 
 }  // namespace
 
-Jobber::Jobber(std::string name, ServiceAccessor& accessor,
-               util::ThreadPool* pool)
-    : ServiceProvider(std::move(name), {type::kJobber}),
-      accessor_(accessor),
-      pool_(pool) {}
+Jobber::Jobber(std::string name, ServiceAccessor& accessor)
+    : ServiceProvider(std::move(name), {type::kJobber}), accessor_(accessor) {}
 
 util::Result<ExertionPtr> Jobber::service(ExertionPtr exertion,
                                           registry::Transaction* txn) {
@@ -50,8 +47,8 @@ util::Result<ExertionPtr> Jobber::service(ExertionPtr exertion,
   ++jobs_;
   jobber_metrics().jobs.add(1);
 
-  // Stamp children with the job's trace context before dispatch: parallel
-  // flow hands them to pool workers, where thread-local context is useless.
+  // Stamp children with the job's trace context before dispatch, so their
+  // spans link under the job's exert span, not the dispatcher's context.
   for (const auto& child : job->children()) {
     if (!child->trace_context().valid()) {
       child->set_trace_context(job->trace_context());
@@ -120,12 +117,11 @@ void Jobber::run_sequence(Job& job, registry::Transaction* txn) {
 void Jobber::run_parallel(Job& job, registry::Transaction* txn) {
   const auto& children = job.children();
 
-  // One scatter-gather batch through the invocation pipeline: under wire
-  // transport the children are all scattered onto the fabric and gathered
-  // with one shared pump, so their round-trips overlap in virtual time;
-  // in-process they fan out across the worker pool. Each child keeps
-  // exert()'s full routing and substitution-retry semantics.
-  const FanOut fan_out = exert_all(children, accessor_, txn, pool_);
+  // One scatter-gather batch through the invocation pipeline: the children
+  // are all scattered onto the fabric and gathered with one shared pump, so
+  // their round-trips overlap in virtual time. Each child keeps exert()'s
+  // full routing and substitution-retry semantics.
+  const FanOut fan_out = exert_all(children, accessor_, txn);
 
   // Parallel latency model: all children progress together, so the job pays
   // the slowest child plus dispatch overhead.
@@ -140,6 +136,8 @@ void Jobber::run_parallel(Job& job, registry::Transaction* txn) {
     // top of measured fabric time would double-count the fan-out.
     job.add_latency(slowest + kDispatchOverhead);
   } else {
+    // Direct calls (no invoker): the modeled parallel job pays one dispatch
+    // overhead per child.
     job.add_latency(slowest +
                     static_cast<util::SimDuration>(children.size()) *
                         kDispatchOverhead);

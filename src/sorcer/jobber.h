@@ -5,26 +5,20 @@
 //
 // Latency model: a job's virtual latency is the sum of child latencies under
 // kSequence and the max under kParallel (plus a fixed per-child coordination
-// overhead). Under kParallel the real invocations also run concurrently:
-// in-process across the worker pool (providers serialize their own
-// invocations), under wire transport as one scatter-gather batch whose
-// round-trips overlap on the fabric — concurrency comes from the messaging
-// layer there, not from threads.
+// overhead). Under kParallel the real invocations also run concurrently, as
+// one scatter-gather batch whose round-trips overlap on the fabric —
+// concurrency comes from the messaging layer, not from threads.
 
 #include <memory>
 
 #include "sorcer/accessor.h"
 #include "sorcer/provider.h"
-#include "util/thread_pool.h"
 
 namespace sensorcer::sorcer {
 
 class Jobber : public ServiceProvider {
  public:
-  /// `pool` may be null: parallel flow then executes inline but still uses
-  /// the parallel (max) latency model.
-  Jobber(std::string name, ServiceAccessor& accessor,
-         util::ThreadPool* pool = nullptr);
+  Jobber(std::string name, ServiceAccessor& accessor);
 
   util::Result<ExertionPtr> service(ExertionPtr exertion,
                                     registry::Transaction* txn) override;
@@ -42,7 +36,6 @@ class Jobber : public ServiceProvider {
   void run_parallel(Job& job, registry::Transaction* txn);
 
   ServiceAccessor& accessor_;
-  util::ThreadPool* pool_;
   std::uint64_t jobs_ = 0;
 };
 

@@ -36,7 +36,7 @@ obs::Counter& request_desyncs_counter() {
 /// Provider-side share of the wall-clock codec cost (same counter the
 /// requestor side accumulates in sorcer/invoke.cpp).
 obs::Counter& marshal_ns_counter() {
-  static obs::Counter& c = obs::metrics().counter("invoke.marshal_ns");
+  static obs::Counter& c = obs::metrics().wall_counter("invoke.marshal_ns");
   return c;
 }
 
@@ -277,9 +277,8 @@ util::Result<ExertionPtr> ServiceProvider::service(
       obs::tracer().start_span("invoke:" + name_ + "#" + sig.selector, parent);
   obs::ContextGuard trace_guard(span.context());
   task->set_status(ExertStatus::kRunning);
-  // Byte accounting lives in the invocation pipeline (sorcer/invoke.*):
-  // wire transport charges real request/response messages, the in-process
-  // path models the same RPC via account_rpc.
+  // Byte accounting lives in the invocation pipeline (sorcer/invoke.*),
+  // which charges the real request/response messages.
   util::Status result = op->second.fn(task->context());
   const util::SimDuration modeled =
       op->second.service_time + extra_invocation_latency(sig.selector);

@@ -48,10 +48,8 @@ class ServiceProvider : public Servicer,
 
   /// Put this provider on the fabric: attaches an endpoint whose handler
   /// dispatches invoke.request messages through service() and answers with
-  /// invoke.response (plus invoke.ping → invoke.pong liveness probes). Also
-  /// enables byte accounting for in-process invocations routed through the
-  /// invocation pipeline. Re-attaching moves the endpoint; the destructor
-  /// detaches it.
+  /// invoke.response (plus invoke.ping → invoke.pong liveness probes).
+  /// Re-attaching moves the endpoint; the destructor detaches it.
   void attach_network(simnet::Network& net);
 
   [[nodiscard]] simnet::Network* network() const { return net_; }

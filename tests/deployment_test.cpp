@@ -17,7 +17,6 @@ TEST(DeploymentConfigTest, DefaultBootsTheFullStack) {
   Deployment lab;
   EXPECT_EQ(lab.lookups().size(), 1u);
   EXPECT_EQ(lab.cybernodes().size(), 2u);
-  EXPECT_NE(lab.pool(), nullptr);
   // Rendezvous peers, monitor and facade are registered.
   for (const char* type :
        {"Jobber", "Spacer", "ProvisionMonitor", kFacadeType}) {
@@ -26,16 +25,6 @@ TEST(DeploymentConfigTest, DefaultBootsTheFullStack) {
                     .is_ok())
         << type;
   }
-}
-
-TEST(DeploymentConfigTest, NoThreadsMeansNoPool) {
-  DeploymentConfig config;
-  config.worker_threads = 0;
-  Deployment lab(config);
-  EXPECT_EQ(lab.pool(), nullptr);
-  // Everything still works inline.
-  lab.add_temperature_sensor("S");
-  EXPECT_TRUE(lab.facade().get_value("S").is_ok());
 }
 
 TEST(DeploymentConfigTest, NoRendezvousPeers) {

@@ -699,7 +699,6 @@ TEST(HistorianDeployment, DashboardFanOutServesQueriesOffTheReadExecutor) {
 
 TEST(HistorianDeployment, WireModeIngestionIsByteAccounted) {
   core::DeploymentConfig config;
-  config.invoke.transport = sorcer::Transport::kWire;
   config.history_feed.flush_period = 2 * kSecond;
   core::Deployment lab(config);
   lab.add_temperature_sensor("Moss-Sensor", 19.0);
@@ -727,7 +726,6 @@ TEST(HistorianDeployment, WireModeIngestionIsByteAccounted) {
 TEST(HistorianDeployment, PipelinedFlushOverlapsAppendBatchCalls) {
   core::DeploymentConfig config;
   config.sampling.sample_period = 0;  // quiet fabric: we drive the feeder
-  config.invoke.transport = sorcer::Transport::kWire;
   config.history_feed.flush_period = 0;
   config.history_feed.max_batch = 16;
   core::Deployment lab(config);

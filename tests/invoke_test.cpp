@@ -1,9 +1,8 @@
 // Tests for the unified invocation pipeline (sorcer/invoke): wire-backed
 // request/response dispatch, deadlines under loss and partitions, retry
-// with exclusion (service substitution over the fabric), the in-process
-// escape hatch, liveness pings, endpoint lifecycle, the ordering of the
-// path-intern streams, and the flat codec including its packed series
-// column.
+// with exclusion (service substitution over the fabric), liveness pings,
+// endpoint lifecycle, the ordering of the path-intern streams, and the flat
+// codec including its packed series column.
 
 #include <gtest/gtest.h>
 
@@ -28,10 +27,9 @@ namespace {
 using util::kMillisecond;
 using util::kSecond;
 
-DeploymentConfig wire_config() {
+DeploymentConfig quiet_config() {
   DeploymentConfig config;
   config.sampling.sample_period = 0;  // keep the fabric quiet for assertions
-  config.invoke.transport = sorcer::Transport::kWire;
   return config;
 }
 
@@ -49,7 +47,7 @@ std::uint64_t counter(const std::string& name) {
 // --- wire transport ----------------------------------------------------------
 
 TEST(WireInvokeTest, TaskCrossesTheFabricAsRequestAndResponse) {
-  Deployment lab(wire_config());
+  Deployment lab(quiet_config());
   lab.add_temperature_sensor("Neem-Sensor", 21.5);
   lab.network().reset_stats();
   const auto wire_before = counter("invoke.wire_calls");
@@ -73,7 +71,7 @@ TEST(WireInvokeTest, TaskCrossesTheFabricAsRequestAndResponse) {
 }
 
 TEST(WireInvokeTest, JobberChildDispatchesAlsoCrossTheFabric) {
-  Deployment lab(wire_config());
+  Deployment lab(quiet_config());
   lab.add_temperature_sensor("Jade-Sensor", 22.4);
   lab.add_temperature_sensor("Coral-Sensor", 23.1);
   lab.network().reset_stats();
@@ -100,7 +98,7 @@ TEST(WireInvokeTest, JobberChildDispatchesAlsoCrossTheFabric) {
 }
 
 TEST(WireInvokeTest, FacadeReadRunsOverTheWire) {
-  Deployment lab(wire_config());
+  Deployment lab(quiet_config());
   lab.add_temperature_sensor("Diamond-Sensor", 20.8);
   lab.network().reset_stats();
 
@@ -116,7 +114,7 @@ TEST(WireInvokeTest, FacadeReadRunsOverTheWire) {
 // --- failure semantics -------------------------------------------------------
 
 TEST(WireInvokeTest, TotalLossExpiresTheDeadlineWithTimeout) {
-  DeploymentConfig config = wire_config();
+  DeploymentConfig config = quiet_config();
   config.invoke.call_timeout = 50 * kMillisecond;
   Deployment lab(config);
   lab.add_temperature_sensor("Lonely-Sensor");
@@ -140,7 +138,7 @@ TEST(WireInvokeTest, TotalLossExpiresTheDeadlineWithTimeout) {
 }
 
 TEST(WireInvokeTest, IdleWindowsFastForwardToTheDeadline) {
-  DeploymentConfig config = wire_config();
+  DeploymentConfig config = quiet_config();
   config.invoke.call_timeout = 50 * kMillisecond;
   Deployment lab(config);
   lab.add_temperature_sensor("Quiet-Sensor");
@@ -161,7 +159,7 @@ TEST(WireInvokeTest, IdleWindowsFastForwardToTheDeadline) {
 }
 
 TEST(WireInvokeTest, PartitionTimesOutThenSubstitutesAnotherProvider) {
-  DeploymentConfig config = wire_config();
+  DeploymentConfig config = quiet_config();
   config.invoke.call_timeout = 20 * kMillisecond;
   Deployment lab(config);
   auto esp_a = lab.add_temperature_sensor("Sensor-A", 20.0);
@@ -196,7 +194,7 @@ TEST(WireInvokeTest, PartitionTimesOutThenSubstitutesAnotherProvider) {
 }
 
 TEST(WireInvokeTest, LateResponsesAreDroppedNotMisdelivered) {
-  DeploymentConfig config = wire_config();
+  DeploymentConfig config = quiet_config();
   // Shorter than the round trip: one-way latency alone eats the budget.
   config.network_latency = 5 * kMillisecond;
   config.invoke.call_timeout = 6 * kMillisecond;
@@ -217,7 +215,7 @@ TEST(WireInvokeTest, LateResponsesAreDroppedNotMisdelivered) {
 // --- scatter-gather ----------------------------------------------------------
 
 TEST(ScatterGatherTest, ParallelPushOverlapsRoundTripsOnTheFabric) {
-  Deployment lab(wire_config());
+  Deployment lab(quiet_config());
   for (int i = 0; i < 8; ++i) {
     lab.add_temperature_sensor("SG-" + std::to_string(i), 20.0 + i);
   }
@@ -254,7 +252,7 @@ TEST(ScatterGatherTest, NestedDispatchPumpsTheSchedulerRecursively) {
   // pumps the scheduler from a nested frame on the same stack. The guard
   // must accept this — it is the event loop recursing in time order — and
   // the nested batch must still gather correctly.
-  Deployment lab(wire_config());
+  Deployment lab(quiet_config());
   lab.add_temperature_sensor("Leaf-A", 10.0);
   lab.add_temperature_sensor("Leaf-B", 30.0);
   auto csp = lab.facade().create_local_service("Nested-Composite");
@@ -273,7 +271,7 @@ TEST(ScatterGatherTest, NestedDispatchPumpsTheSchedulerRecursively) {
 }
 
 TEST(ScatterGatherTest, SlowChildSubstitutesWhileSiblingsComplete) {
-  DeploymentConfig config = wire_config();
+  DeploymentConfig config = quiet_config();
   config.invoke.call_timeout = 20 * kMillisecond;
   Deployment lab(config);
   for (const char* name : {"Mix-A", "Mix-B", "Mix-C"}) {
@@ -318,7 +316,7 @@ TEST(ScatterGatherTest, SlowChildSubstitutesWhileSiblingsComplete) {
 }
 
 TEST(ScatterGatherTest, EachTimedOutCallDropsItsOwnLateResponse) {
-  DeploymentConfig config = wire_config();
+  DeploymentConfig config = quiet_config();
   // Shorter than the round trip: every call times out, every response is a
   // straggler.
   config.network_latency = 5 * kMillisecond;
@@ -351,7 +349,7 @@ TEST(ScatterGatherTest, EachTimedOutCallDropsItsOwnLateResponse) {
 }
 
 TEST(ScatterGatherTest, FacadeMultiReadGathersOneBatch) {
-  Deployment lab(wire_config());
+  Deployment lab(quiet_config());
   lab.add_temperature_sensor("Page-A", 20.0);
   lab.add_temperature_sensor("Page-B", 21.0);
   lab.add_temperature_sensor("Page-C", 22.0);
@@ -365,53 +363,17 @@ TEST(ScatterGatherTest, FacadeMultiReadGathersOneBatch) {
   EXPECT_EQ(values[3].status().code(), util::ErrorCode::kNotFound);
 }
 
-// --- in-process escape hatch -------------------------------------------------
-
-TEST(InProcessInvokeTest, DefaultTransportStaysOffTheFabric) {
-  DeploymentConfig config;
-  config.sampling.sample_period = 0;
-  Deployment lab(config);  // invoke.transport defaults to kInProcess
-  lab.add_temperature_sensor("Local-Sensor");
-  lab.network().reset_stats();
-  const auto inproc_before = counter("invoke.inprocess_calls");
-  const auto wire_before = counter("invoke.wire_calls");
-
-  auto task = read_task("Local-Sensor");
-  ASSERT_TRUE(sorcer::exert(task, lab.accessor()).is_ok());
-  EXPECT_EQ(task->status(), sorcer::ExertStatus::kDone);
-  EXPECT_GE(counter("invoke.inprocess_calls") - inproc_before, 1u);
-  EXPECT_EQ(counter("invoke.wire_calls") - wire_before, 0u);
-
-  // No messages scheduled through the requestor endpoint, but the modeled
-  // RPC bytes are still charged (account_rpc keeps accounting continuous).
-  EXPECT_EQ(lab.network().stats_for(lab.invoker().address()).messages_sent,
-            0u);
-  EXPECT_GT(lab.network().totals().payload_bytes_sent, 0u);
-}
-
-TEST(InProcessInvokeTest, PartitionsDoNotAffectInProcessCalls) {
-  DeploymentConfig config;
-  config.sampling.sample_period = 0;
-  Deployment lab(config);
-  auto esp = lab.add_temperature_sensor("Immune-Sensor");
-  lab.network().partition(lab.invoker().address(), esp->network_address());
-
-  auto task = read_task("Immune-Sensor");
-  EXPECT_TRUE(sorcer::exert(task, lab.accessor()).is_ok());
-  EXPECT_EQ(task->status(), sorcer::ExertStatus::kDone);
-}
-
 // --- pings -------------------------------------------------------------------
 
 TEST(PingTest, ReachableProviderPongsWithinDeadline) {
-  Deployment lab(wire_config());
+  Deployment lab(quiet_config());
   ASSERT_FALSE(lab.cybernodes().empty());
   const auto target = lab.cybernodes()[0]->network_address();
   EXPECT_TRUE(lab.invoker().ping(target, 10 * kMillisecond).is_ok());
 }
 
 TEST(PingTest, PartitionedProviderTimesOut) {
-  Deployment lab(wire_config());
+  Deployment lab(quiet_config());
   ASSERT_FALSE(lab.cybernodes().empty());
   const auto target = lab.cybernodes()[0]->network_address();
   lab.network().partition(lab.invoker().address(), target);
@@ -420,7 +382,7 @@ TEST(PingTest, PartitionedProviderTimesOut) {
 }
 
 TEST(PingTest, DetachedAddressFailsFast) {
-  Deployment lab(wire_config());
+  Deployment lab(quiet_config());
   EXPECT_EQ(lab.invoker().ping(util::new_uuid(), 10 * kMillisecond).code(),
             util::ErrorCode::kNotFound);
 }
@@ -464,8 +426,7 @@ struct EchoRig {
   simnet::Network net{sched};
   std::shared_ptr<sorcer::Tasker> tasker =
       std::make_shared<sorcer::Tasker>("Echo");
-  sorcer::RemoteInvoker invoker{net,
-                                sorcer::InvokeConfig{sorcer::Transport::kWire}};
+  sorcer::RemoteInvoker invoker{net};
 
   EchoRig() {
     const auto echo = [](sorcer::ServiceContext& ctx) {
@@ -1008,7 +969,7 @@ TEST(CodecTest, SeriesCountBeyondTheBodyIsRejectedBeforeAllocating) {
 }
 
 TEST(CodecTest, WirePathWarmsInternTablesAcrossCalls) {
-  Deployment lab(wire_config());
+  Deployment lab(quiet_config());
   lab.add_temperature_sensor("Warm-Sensor", 21.0);
 
   auto first = read_task("Warm-Sensor");

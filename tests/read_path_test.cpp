@@ -1,8 +1,8 @@
 // Tests for the optimized CSP read path: the freshness-window collection
 // cache (TTL semantics, quality/timestamp stamping, invalidation on
 // composition and expression changes), single-flight coalescing of
-// concurrent readers, the pool-parallel direct fan-out and its latency
-// model, and slot re-binding after component removal.
+// concurrent readers, the direct wire fan-out and its latency model, and
+// slot re-binding after component removal.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 
 #include "core/deployment.h"
 #include "obs/metrics.h"
+#include "sorcer/exert.h"
 #include "sorcer/jobber.h"
 
 namespace sensorcer::core {
@@ -189,38 +190,35 @@ TEST_F(ReadPathTest, ConcurrentReadersCoalesceOntoOneFlight) {
 
 // --- direct fallback latency model -----------------------------------------------
 
-TEST_F(ReadPathTest, ParallelDirectFanoutUsesSlowestChildModel) {
-  auto make_bare = [](std::size_t worker_threads) {
-    DeploymentConfig config;
-    config.with_jobber = false;
-    config.with_spacer = false;
-    config.worker_threads = worker_threads;
-    return config;
-  };
-  auto run = [](Deployment& lab) {
-    for (int i = 0; i < 4; ++i) {
-      lab.add_temperature_sensor("S" + std::to_string(i), 20.0 + i);
-    }
-    lab.pump(kSecond);
-    auto csp = lab.manager().create_composite("C");
-    for (int i = 0; i < 4; ++i) {
-      EXPECT_TRUE(csp->add_component("S" + std::to_string(i)).is_ok());
-    }
-    EXPECT_TRUE(csp->get_value().is_ok());
-    return csp->last_collection_latency();
-  };
+TEST_F(ReadPathTest, DirectWireFanoutCostsSlowestChildPlusOneDispatch) {
+  // No rendezvous peer: the CSP scatters its four children onto the fabric
+  // itself and gathers them with one pump, so their round-trips overlap.
+  DeploymentConfig config;
+  config.with_jobber = false;
+  config.with_spacer = false;
+  config.sampling.sample_period = 0;
+  Deployment bare(config);
+  for (int i = 0; i < 4; ++i) {
+    bare.add_temperature_sensor("S" + std::to_string(i), 20.0 + i);
+  }
+  bare.pump(kSecond);
 
-  Deployment sequential_lab(make_bare(0));
-  Deployment parallel_lab(make_bare(4));
-  const util::SimDuration sequential = run(sequential_lab);
-  const util::SimDuration parallel = run(parallel_lab);
+  // One child's cost: a single read round-trip over the same fabric. The
+  // four children are identical, so each costs exactly this.
+  auto probe = sorcer::Task::make(
+      "probe", sorcer::Signature{kSensorDataAccessorType, op::kGetValue, "S0"});
+  ASSERT_TRUE(sorcer::exert(probe, bare.accessor()).is_ok());
+  const util::SimDuration child = probe->latency();
+  ASSERT_GT(child, 0);
 
-  ASSERT_GT(sequential, 0);
-  EXPECT_LT(parallel, sequential);
-  // All four children are identical, so sequential = 4 * child and the
-  // parallel model must charge slowest-child + per-child dispatch overhead.
-  const util::SimDuration child = sequential / 4;
-  EXPECT_EQ(parallel, child + 4 * sorcer::Jobber::kDispatchOverhead);
+  auto csp = bare.manager().create_composite("C");
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(csp->add_component("S" + std::to_string(i)).is_ok());
+  }
+  ASSERT_TRUE(csp->get_value().is_ok());
+  const util::SimDuration collected = csp->last_collection_latency();
+  EXPECT_EQ(collected, child + sorcer::Jobber::kDispatchOverhead);
+  EXPECT_LT(collected, 4 * child);
 }
 
 // --- re-binding after composition changes ----------------------------------------

@@ -10,6 +10,7 @@
 #include "sorcer/exert.h"
 #include "sorcer/jobber.h"
 #include "sorcer/spacer.h"
+#include "util/thread_pool.h"
 
 namespace sensorcer::sorcer {
 namespace {
@@ -332,7 +333,7 @@ TEST_F(FederationTest, CrashLeavesStaleEntryUntilLeaseExpiry) {
 class JobberTest : public FederationTest {
  protected:
   JobberTest() {
-    jobber = std::make_shared<Jobber>("Jobber", accessor, nullptr);
+    jobber = std::make_shared<Jobber>("Jobber", accessor);
     (void)jobber->join(lus, lrm, 60 * kSecond);
   }
   std::shared_ptr<Jobber> jobber;
@@ -429,24 +430,6 @@ TEST_F(JobberTest, EmptyJobSucceedsTrivially) {
   EXPECT_EQ(job->status(), ExertStatus::kDone);
 }
 
-TEST_F(JobberTest, ParallelWithRealPoolMatchesInline) {
-  util::ThreadPool pool(4);
-  auto threaded = std::make_shared<Jobber>("Jobber2", accessor, &pool);
-  auto job = Job::make("j", {Flow::kParallel, Access::kPush, true});
-  std::vector<std::shared_ptr<Task>> tasks;
-  for (int i = 0; i < 16; ++i) {
-    auto t = add_task(i, 2 * i);
-    tasks.push_back(t);
-    job->add(t);
-  }
-  (void)threaded->service(job, nullptr);
-  EXPECT_EQ(job->status(), ExertStatus::kDone);
-  for (int i = 0; i < 16; ++i) {
-    EXPECT_DOUBLE_EQ(tasks[i]->context().get_double("result/sum").value(),
-                     3.0 * i);
-  }
-}
-
 // --- ExertSpace -----------------------------------------------------------------------
 
 TEST(ExertSpaceTest, WriteTakeCompleteConservation) {
@@ -511,7 +494,7 @@ TEST(ExertSpaceTest, ConcurrentTakesAreExclusive) {
 class SpacerTest : public FederationTest {
  protected:
   SpacerTest() {
-    spacer = std::make_shared<Spacer>("Spacer", accessor, space, 4, nullptr);
+    spacer = std::make_shared<Spacer>("Spacer", accessor, space, 4);
     (void)spacer->join(lus, lrm, 60 * kSecond);
   }
   ExertSpace space;
@@ -540,7 +523,7 @@ TEST_F(SpacerTest, MakespanBetweenMaxAndSum) {
 }
 
 TEST_F(SpacerTest, SingleWorkerDegradesToSequential) {
-  auto solo = std::make_shared<Spacer>("Solo", accessor, space, 1, nullptr);
+  auto solo = std::make_shared<Spacer>("Solo", accessor, space, 1);
   auto job = Job::make("j", {Flow::kParallel, Access::kPull, true});
   for (int i = 0; i < 4; ++i) job->add(add_task(i, i));
   (void)solo->service(job, nullptr);
@@ -582,7 +565,7 @@ TEST_P(WorkerScalingTest, MakespanMatchesGreedyModel) {
   (void)tasker->join(lus, lrm, 60 * kSecond);
 
   ExertSpace space;
-  Spacer spacer("S", accessor, space, workers, nullptr);
+  Spacer spacer("S", accessor, space, workers);
   auto job = Job::make("j", {Flow::kParallel, Access::kPull, true});
   constexpr std::size_t kTasks = 16;
   for (std::size_t i = 0; i < kTasks; ++i) {
@@ -686,7 +669,7 @@ TEST_F(SubstitutionTest, AllEquivalentsDownFailsWithLastError) {
 }
 
 TEST_F(SubstitutionTest, SubstitutionWorksInsideJobs) {
-  auto jobber = std::make_shared<Jobber>("Jobber", accessor, nullptr);
+  auto jobber = std::make_shared<Jobber>("Jobber", accessor);
   (void)jobber->join(lus, lrm, 3600 * util::kSecond);
   auto job = Job::make("j", {Flow::kParallel, Access::kPush, true});
   auto t1 = Task::make("t1", Signature{type::kTasker, "measure", ""});
@@ -697,7 +680,7 @@ TEST_F(SubstitutionTest, SubstitutionWorksInsideJobs) {
 }
 
 TEST_F(SubstitutionTest, TaskAddressedToJobberTypeExecutesOnJobber) {
-  auto jobber = std::make_shared<Jobber>("Jobber", accessor, nullptr);
+  auto jobber = std::make_shared<Jobber>("Jobber", accessor);
   (void)jobber->join(lus, lrm, 3600 * util::kSecond);
   // No operations are installed on the jobber, so this must terminate with
   // NOT_FOUND rather than looping through the federation.
