@@ -1,11 +1,13 @@
-// Historian storage bench (ISSUE 4 tentpole): ingest throughput of the
-// sharded store and wide range-query latency, raw scan vs rollup rings, at
-// 10^4–10^6 retained readings per series.
+// Historian storage bench: ingest throughput of the sharded store and
+// wide-query latency at 10^4–10^6 retained readings per series.
 //
-// The rollup path answers a wide aggregate from O(buckets) incremental
-// state instead of walking every retained reading, so its cost is flat in
-// the retained count while the raw path grows linearly — the acceptance
-// bound is a ≥50x advantage at 10^5+ readings.
+// A full-span stats query folds one footer per sealed block and decodes only
+// the open active block, so its cost grows with the block count, not the
+// reading count (the count is checked against what was appended). A
+// full-span downsample whose point spacing is at least the 60 s summary
+// width folds each sealed block's summary instead of decoding it; smoke
+// exits 1 unless such a downsample comes from the summaries ("rollup:"
+// source) with the requested point count.
 //
 // The pipelined-ingest section measures the feeder's wire-mode push path:
 // K appendBatch chunks leave as one scatter-gather batch, so K fabric
@@ -52,17 +54,9 @@ double seconds_since(Clock::time_point t0) {
 constexpr util::SimDuration kDt = 100 * util::kMillisecond;
 
 hist::SeriesConfig config_for(std::size_t retained) {
-  // Rings sized to cover the whole retained raw span, so raw and rollup
-  // paths answer the same window and the comparison is apples-to-apples.
-  const auto span = static_cast<util::SimTime>(retained) * kDt;
-  const auto buckets = [&](util::SimDuration res) {
-    return static_cast<std::size_t>(span / res) + 8;
-  };
+  // The raw tier keeps the whole span, so every query sees every reading.
   hist::SeriesConfig config;
   config.raw_capacity = retained;
-  config.rings = {{1 * util::kSecond, buckets(1 * util::kSecond)},
-                  {10 * util::kSecond, buckets(10 * util::kSecond)},
-                  {60 * util::kSecond, buckets(60 * util::kSecond)}};
   return config;
 }
 
@@ -110,10 +104,9 @@ void bench_ingest(bool smoke) {
 }
 
 void bench_queries(bool smoke) {
-  std::puts("Wide range-aggregate latency, raw path vs rollup rings");
-  std::puts("(query = stats over the full retained span; rollup answers from");
-  std::puts("the 60s ring, the raw path sums sealed-block footers and only");
-  std::puts("walks the open active block):");
+  std::puts("Wide stats latency (query = stats over the full retained span;");
+  std::puts("the raw path folds each sealed block's footer and walks only");
+  std::puts("the open active block):");
   std::vector<std::size_t> sizes =
       smoke ? std::vector<std::size_t>{10'000}
             : std::vector<std::size_t>{10'000, 100'000, 1'000'000};
@@ -123,57 +116,61 @@ void bench_queries(bool smoke) {
     for (std::size_t i = 0; i < retained; ++i) series.append(reading_at(i));
     const auto span = static_cast<util::SimTime>(retained) * kDt;
 
-    // Both paths must agree on the answer before we time them.
-    const auto raw = series.stats(0, span, 0);
-    const auto rollup = series.stats(0, span, 60 * util::kSecond);
-    if (raw.stats.count != retained || rollup.stats.count != retained) {
-      std::printf("FAIL: count mismatch raw=%llu rollup=%llu expected=%zu\n",
-                  static_cast<unsigned long long>(raw.stats.count),
-                  static_cast<unsigned long long>(rollup.stats.count),
+    // The footers must account for every reading before we time them.
+    const auto result = series.stats(0, span, 0);
+    if (result.stats.count != retained) {
+      std::printf("FAIL: count mismatch footers=%llu expected=%zu\n",
+                  static_cast<unsigned long long>(result.stats.count),
                   retained);
       std::exit(1);
     }
-
-    const std::size_t raw_iters = smoke ? 20 : (retained >= 1'000'000 ? 20 : 200);
-    const double raw_us = us_per_call(raw_iters, [&] {
+    const double us = us_per_call(smoke ? 200 : 2000, [&] {
       (void)series.stats(0, span, 0);
     });
-    const double rollup_us = us_per_call(smoke ? 200 : 2000, [&] {
-      (void)series.stats(0, span, 60 * util::kSecond);
-    });
-    rows.push_back({std::to_string(retained), rollup.source,
-                    util::format("%.1f", raw_us),
-                    util::format("%.2f", rollup_us),
-                    util::format("%.0fx", raw_us / rollup_us)});
+    rows.push_back({std::to_string(retained), result.source,
+                    std::to_string(series.counters().sealed_blocks),
+                    util::format("%.2f", us)});
   }
-  std::puts(util::render_table({"retained", "rollup ring", "raw us/query",
-                                "rollup us/query", "speedup"},
-                               rows)
+  std::puts(util::render_table(
+                {"retained", "source", "sealed blocks", "us/query"}, rows)
                 .c_str());
-  std::puts("Expected shape: both paths stay ~flat. Sealed-block footer");
-  std::puts("aggregates collapsed the old linear raw scan (6.4ms/query at");
-  std::puts("10^6 pre-compression) to O(blocks); the rollup rings' O(buckets)");
-  std::puts("win now only shows on windows slicing into block interiors.");
+  std::puts("Expected shape: a fixed cost for copying and walking the open");
+  std::puts("active block, plus one footer per sealed block (~1/512 of the");
+  std::puts("reading count), which dominates by 10^6.");
 }
 
 void bench_downsample(bool smoke) {
-  std::puts("Downsample-to-N-points latency (browser plot path, full span):");
+  std::puts("Downsample-to-N-points latency (browser plot path, full span;");
+  std::puts("spacing >= 60 s folds block summaries, narrower decodes):");
   const std::size_t retained = smoke ? 10'000 : 1'000'000;
   hist::SensorSeries series(config_for(retained));
   for (std::size_t i = 0; i < retained; ++i) series.append(reading_at(i));
   const auto span = static_cast<util::SimTime>(retained) * kDt;
+  const util::SimDuration summary_width = hist::SeriesConfig{}.cold_resolution;
   std::vector<std::vector<std::string>> rows;
   for (std::size_t points : {16u, 64u, 512u}) {
     const double us = us_per_call(smoke ? 50 : 200, [&] {
       (void)series.downsample(0, span, points);
     });
     const auto result = series.downsample(0, span, points);
+    const util::SimDuration spacing =
+        span / static_cast<util::SimDuration>(points);
+    if (spacing >= summary_width &&
+        (!util::starts_with(result.source, "rollup:") ||
+         result.points.size() != points)) {
+      std::printf("FAIL: %zu-point downsample at %s spacing came from %s "
+                  "with %zu points (want summaries, %zu points)\n",
+                  points, util::format_duration(spacing).c_str(),
+                  result.source.c_str(), result.points.size(), points);
+      std::exit(1);
+    }
     rows.push_back({std::to_string(points),
+                    util::format_duration(spacing),
                     std::to_string(result.points.size()), result.source,
                     util::format("%.1f", us)});
   }
-  std::puts(util::render_table({"target", "points", "source", "us/query"},
-                               rows)
+  std::puts(util::render_table(
+                {"target", "spacing", "points", "source", "us/query"}, rows)
                 .c_str());
 }
 
@@ -257,7 +254,6 @@ void bench_compression(bool smoke) {
   for (const Pattern& pattern : patterns) {
     hist::SeriesConfig config;
     config.raw_capacity = total;
-    config.rings = {};  // isolate the sealed chain
     hist::SensorSeries series(config);
     double walk = 20.0;
     const auto t0 = Clock::now();
@@ -316,7 +312,6 @@ void bench_compression(bool smoke) {
   {
     hist::SeriesConfig config;
     config.raw_capacity = total / 4;
-    config.rings = {};
     hist::SensorSeries series(config);
     for (std::size_t i = 0; i < total; ++i) {
       series.append({static_cast<util::SimTime>(i) * kDt,
@@ -355,7 +350,6 @@ void bench_concurrent_queries(bool smoke) {
   hist::HistorianConfig config;
   config.series.raw_capacity = preload / 4;
   config.series.block_readings = 512;
-  config.series.rings = {{60 * util::kSecond, 4096}};
   config.max_bytes = 0;
   hist::HistorianStore store(config);
   std::vector<sensor::Reading> batch;
@@ -432,7 +426,7 @@ void bench_concurrent_queries(bool smoke) {
 
 int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::strcmp(argv[1], "smoke") == 0;
-  std::printf("=== historian: ingest + range-query cost, raw vs rollup%s ===\n\n",
+  std::printf("=== historian: ingest, query cost and compression%s ===\n\n",
               smoke ? " (smoke)" : "");
   bench_ingest(smoke);
   bench_queries(smoke);

@@ -61,9 +61,10 @@ class SensorcerFacade : public sorcer::ServiceProvider {
   // --- historian queries ----------------------------------------------------------
 
   /// Aggregate stats of `sensor` over [from, to), answered by the
-  /// historian from the coarsest rollup ring no wider than
-  /// `max_resolution` (0 demands the exact raw path). Routed through the
-  /// invocation pipeline like every other service-to-service call.
+  /// historian from sealed-block footers, decoded edge readings and — when
+  /// `max_resolution` admits their width — demoted tier buckets (0 demands
+  /// the exact raw path). Routed through the invocation pipeline like every
+  /// other service-to-service call.
   util::Result<hist::StatsResult> query_stats(
       const std::string& sensor, util::SimTime from, util::SimTime to,
       util::SimDuration max_resolution = 60 * util::kSecond);

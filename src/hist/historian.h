@@ -6,9 +6,9 @@
 // requestors query ranges, aggregates and downsampled series through the
 // same pipeline (histStats / histRange / histDownsample), typically via
 // SensorcerFacade. Storage is a HistorianStore: per-sensor sharded segments
-// of an active block + compressed sealed chain + demoted tiers, plus
-// multi-resolution rollup rings, so wide aggregate queries are answered
-// from O(buckets) rollup state instead of rescanning readings.
+// of an active block + compressed sealed chain + demoted tiers. Each sealed
+// block carries a footer and a 60 s summary, so wide aggregates and
+// downsamples fold those instead of decoding readings.
 //
 // Query ops are dispatched onto the read-side executor (read_executor.h):
 // the op thread submits the store scan and blocks on the future, so heavy

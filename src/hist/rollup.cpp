@@ -76,83 +76,4 @@ void AggregateStats::add_bucket(const RollupBucket& bucket) {
   count += bucket.count;
 }
 
-RollupRing::RollupRing(util::SimDuration resolution, std::size_t bucket_count)
-    : res_(resolution > 0 ? resolution : 1),
-      ring_(bucket_count > 0 ? bucket_count : 1) {}
-
-bool RollupRing::append(util::SimTime ts, double value) {
-  const util::SimTime s = align(ts);
-  if (!any_) {
-    any_ = true;
-    newest_start_ = s;
-    valid_from_ = s;
-    RollupBucket& b = ring_[index_of(s)];
-    b = RollupBucket{};
-    b.start = s;
-    b.add(ts, value);
-    return true;
-  }
-  if (s > newest_start_) {
-    const auto n = static_cast<util::SimTime>(ring_.size());
-    const util::SimTime steps = (s - newest_start_) / res_;
-    if (steps >= n) {
-      // The whole retained window ages out in one jump.
-      for (RollupBucket& b : ring_) {
-        evicted_readings_ += b.count;
-        b = RollupBucket{};
-      }
-      newest_start_ = s;
-      valid_from_ = s;
-    } else {
-      // Advance bucket by bucket, evicting whatever each slot held.
-      for (util::SimTime i = 1; i <= steps; ++i) {
-        const util::SimTime start = newest_start_ + i * res_;
-        RollupBucket& b = ring_[index_of(start)];
-        evicted_readings_ += b.count;
-        b = RollupBucket{};
-        b.start = start;
-      }
-      newest_start_ = s;
-      valid_from_ = std::max(valid_from_, newest_start_ - (n - 1) * res_);
-    }
-    RollupBucket& b = ring_[index_of(s)];
-    b.start = s;
-    b.add(ts, value);
-    return true;
-  }
-  if (s >= valid_from_) {
-    // In-window, out-of-order (backfill): the slot for this bucket is live.
-    RollupBucket& b = ring_[index_of(s)];
-    b.start = s;
-    b.add(ts, value);
-    return true;
-  }
-  return false;  // predates the retained window
-}
-
-AggregateStats RollupRing::aggregate(util::SimTime from,
-                                     util::SimTime to) const {
-  AggregateStats out;
-  if (!any_ || to <= from) return out;
-  const util::SimTime lo = std::max(align(from), valid_from_);
-  const util::SimTime hi = std::min(align_up(to), newest_start_ + res_);
-  for (util::SimTime s = lo; s < hi; s += res_) {
-    const RollupBucket& b = ring_[index_of(s)];
-    if (!b.empty() && b.start == s) out.add_bucket(b);
-  }
-  return out;
-}
-
-void RollupRing::visit(
-    util::SimTime from, util::SimTime to,
-    const std::function<void(const RollupBucket&)>& fn) const {
-  if (!any_ || to <= from) return;
-  const util::SimTime lo = std::max(align(from), valid_from_);
-  const util::SimTime hi = std::min(align_up(to), newest_start_ + res_);
-  for (util::SimTime s = lo; s < hi; s += res_) {
-    const RollupBucket& b = ring_[index_of(s)];
-    if (!b.empty() && b.start == s) fn(b);
-  }
-}
-
 }  // namespace sensorcer::hist

@@ -1,18 +1,13 @@
 #pragma once
-// Multi-resolution rollup rings — the aggregation substrate of the
-// historian (src/hist/).
+// Aggregate types of the historian (src/hist/).
 //
-// A RollupRing is a fixed-capacity circular array of time-aligned buckets
-// at one resolution (e.g. 600 one-second buckets). Buckets hold streaming
-// aggregates (count/min/max/sum/last) and are maintained incrementally at
-// append time — a reading lands in exactly one bucket per ring, never by
-// rescanning raw data. A range aggregate over a ring therefore costs
-// O(buckets in range) regardless of how many readings were ingested, which
-// is what makes wide historical queries cheap (ISSUE 4's ≥50× bound).
+// A RollupBucket holds streaming aggregates (count/min/max/sum/last) of the
+// readings in one time-aligned bucket [start, start + resolution); the mid
+// and cold tiers store demoted history as runs of them (hist/block.h).
+// AggregateStats is the mergeable result a stats query folds readings,
+// sealed-block footers and tier buckets into.
 
 #include <cstdint>
-#include <functional>
-#include <vector>
 
 #include "util/sim_time.h"
 
@@ -35,7 +30,7 @@ struct RollupBucket {
 
   void add(util::SimTime ts, double value);
 
-  /// Fold another bucket's aggregates in (downsample re-binning).
+  /// Fold another bucket's aggregates in (1s -> 60s tier re-bucketing).
   void merge(const RollupBucket& other);
 };
 
@@ -55,74 +50,6 @@ struct AggregateStats {
 
   void add_sample(util::SimTime ts, double value);
   void add_bucket(const RollupBucket& bucket);
-};
-
-/// Circular array of aligned buckets at one resolution. Appends must be
-/// time-ordered at bucket granularity going forward; readings older than
-/// the retained window are dropped (the caller counts them). In-window
-/// out-of-order appends (e.g. a failover backfill racing fresh samples)
-/// land in their proper bucket.
-class RollupRing {
- public:
-  RollupRing(util::SimDuration resolution, std::size_t bucket_count);
-
-  [[nodiscard]] util::SimDuration resolution() const { return res_; }
-  [[nodiscard]] std::size_t bucket_capacity() const { return ring_.size(); }
-  [[nodiscard]] bool empty() const { return !any_; }
-
-  /// Bucket start containing `t`.
-  [[nodiscard]] util::SimTime align(util::SimTime t) const {
-    return (t / res_) * res_;
-  }
-  /// Smallest bucket boundary >= t.
-  [[nodiscard]] util::SimTime align_up(util::SimTime t) const {
-    return ((t + res_ - 1) / res_) * res_;
-  }
-
-  /// Start of the oldest bucket still retained (data before this aged out).
-  [[nodiscard]] util::SimTime retained_from() const { return valid_from_; }
-  [[nodiscard]] util::SimTime newest_start() const { return newest_start_; }
-
-  /// True when the ring can answer a query reaching back to `from` without
-  /// missing aged-out buckets.
-  [[nodiscard]] bool covers(util::SimTime from) const {
-    return any_ && align(from) >= valid_from_;
-  }
-
-  /// Returns false when the reading predates the retained window (dropped).
-  bool append(util::SimTime ts, double value);
-
-  /// Aggregate over the bucket-aligned window [align(from), align_up(to)),
-  /// clamped to what the ring retains. O(buckets).
-  [[nodiscard]] AggregateStats aggregate(util::SimTime from,
-                                         util::SimTime to) const;
-
-  /// Visit every non-empty bucket intersecting [from, to), oldest first.
-  void visit(util::SimTime from, util::SimTime to,
-             const std::function<void(const RollupBucket&)>& fn) const;
-
-  /// Readings aged out of this ring (their bucket was evicted).
-  [[nodiscard]] std::uint64_t evicted_readings() const {
-    return evicted_readings_;
-  }
-
-  /// Fixed memory footprint of the ring.
-  [[nodiscard]] std::size_t bytes() const {
-    return ring_.size() * sizeof(RollupBucket);
-  }
-
- private:
-  [[nodiscard]] std::size_t index_of(util::SimTime aligned) const {
-    return static_cast<std::size_t>((aligned / res_) %
-                                    static_cast<util::SimTime>(ring_.size()));
-  }
-
-  util::SimDuration res_;
-  std::vector<RollupBucket> ring_;
-  bool any_ = false;
-  util::SimTime newest_start_ = 0;
-  util::SimTime valid_from_ = 0;
-  std::uint64_t evicted_readings_ = 0;
 };
 
 }  // namespace sensorcer::hist

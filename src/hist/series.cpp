@@ -2,16 +2,13 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 
 #include "util/sim_time.h"
 
 namespace sensorcer::hist {
 
 namespace {
-
-std::string ring_source(util::SimDuration resolution) {
-  return "rollup:" + util::format_duration(resolution);
-}
 
 util::SimTime align_to(util::SimTime t, util::SimDuration res) {
   return (t / res) * res;
@@ -21,6 +18,26 @@ util::SimTime align_up_to(util::SimTime t, util::SimDuration res) {
   // Overflow-safe: callers pass kEndOfTime (INT64_MAX) for "everything".
   if (t > std::numeric_limits<util::SimTime>::max() - res) return t;
   return ((t + res - 1) / res) * res;
+}
+
+/// Visit, oldest first, the buckets of time-ordered tier blocks whose start
+/// lies in [align(from), align_up(to)) at `res`. Blocks wholly before the
+/// window are skipped and the walk stops at the first block past it.
+template <typename Fn>
+void for_each_tier_bucket(
+    const std::vector<std::shared_ptr<const TierBlock>>& tiers,
+    util::SimDuration res, util::SimTime from, util::SimTime to, Fn&& fn) {
+  const util::SimTime lo = align_to(from, res);
+  const util::SimTime hi = align_up_to(to, res);
+  for (const auto& tier : tiers) {
+    const std::vector<RollupBucket>& buckets = tier->buckets;
+    if (buckets.empty() || buckets.back().start < lo) continue;
+    if (buckets.front().start >= hi) break;
+    auto it = std::lower_bound(
+        buckets.begin(), buckets.end(), lo,
+        [](const RollupBucket& b, util::SimTime t) { return b.start < t; });
+    for (; it != buckets.end() && it->start < hi; ++it) fn(*it);
+  }
 }
 
 }  // namespace
@@ -34,19 +51,6 @@ SensorSeries::SensorSeries(const SeriesConfig& config) : config_(config) {
       std::max(config_.cold_resolution, config_.mid_resolution);
 
   active_ = sensor::DataLog(config_.block_readings);
-
-  std::vector<RingSpec> specs = config_.rings;
-  std::sort(specs.begin(), specs.end(),
-            [](const RingSpec& a, const RingSpec& b) {
-              return a.resolution < b.resolution;
-            });
-  rings_.reserve(specs.size());
-  for (const RingSpec& spec : specs) {
-    if (spec.resolution <= 0 || spec.buckets == 0) continue;
-    rings_.emplace_back(spec.resolution, spec.buckets);
-  }
-  for (const RollupRing& ring : rings_) ring_bytes_ += ring.bytes();
-
   chain_ = std::make_shared<const Chain>();
 }
 
@@ -55,11 +59,6 @@ SensorSeries::Append SensorSeries::append(const sensor::Reading& reading) {
   if (reading.timestamp <= last_ts_) return Append::kDuplicate;
   last_ts_ = reading.timestamp;
   active_.append(reading);
-  if (reading.quality != sensor::Quality::kBad) {
-    for (RollupRing& ring : rings_) {
-      (void)ring.append(reading.timestamp, reading.value);
-    }
-  }
   ++appended_;
 
   const std::uint64_t demoted_before = raw_evicted_;
@@ -82,12 +81,38 @@ void SensorSeries::seal_active_locked() {
   auto block = SealedBlock::seal(readings);
   if (!block) return;
   Chain next = *chain_;
+  // The summary comes from the readings in hand, not from a decode.
+  const std::size_t first_bucket = next.summary.size();
+  for (const sensor::Reading& r : readings) {
+    if (r.quality == sensor::Quality::kBad) continue;
+    const util::SimTime start = align_to(r.timestamp, config_.cold_resolution);
+    if (next.summary.size() == first_bucket ||
+        next.summary.back().start != start) {
+      next.summary.push_back({start, 0, 0.0});
+    }
+    ++next.summary.back().count;
+    next.summary.back().sum += r.value;
+  }
+  const std::size_t buckets = next.summary.size() - first_bucket;
+  next.summary_sizes.push_back(static_cast<std::uint32_t>(buckets));
   next.sealed.push_back(block);
   next.sealed_readings += block->count();
-  next.sealed_bytes += block->bytes();
+  next.sealed_bytes += block->bytes() + buckets * sizeof(SummaryBucket);
   ++blocks_sealed_;
   (void)demote_locked(next);
   publish_locked(std::move(next));
+}
+
+std::size_t SensorSeries::pop_sealed_front(Chain& chain) {
+  const SealedBlock& block = *chain.sealed.front();
+  const std::uint32_t buckets = chain.summary_sizes.front();
+  const std::size_t freed = block.bytes() + buckets * sizeof(SummaryBucket);
+  chain.sealed_readings -= block.count();
+  chain.sealed_bytes -= freed;
+  chain.summary.erase(chain.summary.begin(), chain.summary.begin() + buckets);
+  chain.summary_sizes.erase(chain.summary_sizes.begin());
+  chain.sealed.erase(chain.sealed.begin());
+  return freed;
 }
 
 bool SensorSeries::demote_locked(Chain& chain) {
@@ -95,9 +120,7 @@ bool SensorSeries::demote_locked(Chain& chain) {
 
   const auto demote_raw_front = [&] {
     std::shared_ptr<const SealedBlock> block = chain.sealed.front();
-    chain.sealed.erase(chain.sealed.begin());
-    chain.sealed_readings -= block->count();
-    chain.sealed_bytes -= block->bytes();
+    (void)pop_sealed_front(chain);
     auto tier = TierBlock::from_sealed(*block, config_.mid_resolution);
     chain.tier_bytes += tier->bytes();
     chain.mid_buckets += tier->buckets.size();
@@ -165,8 +188,8 @@ void SensorSeries::publish_locked(Chain&& chain) {
 std::size_t SensorSeries::shed_coldest() {
   std::lock_guard<std::mutex> lock(hot_mu_);
   // Byte-pressure eviction ladder: coldest, already-aggregated storage goes
-  // first; compressed raw blocks last; the hot active block and rings never
-  // (the store evicts the whole series at that point).
+  // first; compressed raw blocks last; the hot active block never (the
+  // store evicts the whole series at that point).
   Chain next = *chain_;
   std::size_t freed = 0;
   if (!next.cold.empty()) {
@@ -184,13 +207,10 @@ std::size_t SensorSeries::shed_coldest() {
     tier_evicted_ += tier->readings + tier->bad_dropped;
     next.mid.erase(next.mid.begin());
   } else if (!next.sealed.empty()) {
-    const auto& block = next.sealed.front();
-    freed = block->bytes();
-    next.sealed_bytes -= freed;
-    next.sealed_readings -= block->count();
-    raw_evicted_ += block->count();
-    tier_evicted_ += block->count();
-    next.sealed.erase(next.sealed.begin());
+    const std::uint32_t count = next.sealed.front()->count();
+    freed = pop_sealed_front(next);
+    raw_evicted_ += count;
+    tier_evicted_ += count;
   } else {
     return 0;
   }
@@ -206,22 +226,6 @@ SensorSeries::ReadView SensorSeries::read_view_locked() const {
   return view;
 }
 
-const RollupRing* SensorSeries::pick_ring_locked(
-    util::SimTime from, util::SimDuration max_resolution) const {
-  if (max_resolution <= 0) return nullptr;
-  // Coarsest acceptable ring that still retains the window start.
-  for (auto it = rings_.rbegin(); it != rings_.rend(); ++it) {
-    if (it->resolution() <= max_resolution && it->covers(from)) return &*it;
-  }
-  return nullptr;
-}
-
-const RollupRing* SensorSeries::pick_ring(
-    util::SimTime from, util::SimDuration max_resolution) const {
-  std::lock_guard<std::mutex> lock(hot_mu_);
-  return pick_ring_locked(from, max_resolution);
-}
-
 util::SimTime SensorSeries::raw_from_of(const ReadView& view) {
   if (!view.chain->sealed.empty()) {
     return view.chain->sealed.front()->first_ts();
@@ -233,43 +237,82 @@ util::SimTime SensorSeries::raw_from_of(const ReadView& view) {
 StatsResult SensorSeries::stats(util::SimTime from, util::SimTime to,
                                 util::SimDuration max_resolution) const {
   StatsResult out;
+  out.source = "raw";
   if (to <= from) {
-    out.source = "raw";
     out.from_effective = from;
     out.to_effective = to;
     return out;
   }
   std::unique_lock<std::mutex> lock(hot_mu_);
-  if (const RollupRing* ring = pick_ring_locked(from, max_resolution)) {
-    out.stats = ring->aggregate(from, to);
-    out.from_effective = std::max(ring->align(from), ring->retained_from());
-    out.to_effective =
-        std::min(ring->align_up(to), ring->newest_start() + ring->resolution());
-    if (out.to_effective < out.from_effective) {
-      out.to_effective = out.from_effective;
-    }
-    out.source = ring_source(ring->resolution());
-    out.resolution = ring->resolution();
-    return out;
-  }
   const ReadView view = read_view_locked();
   lock.unlock();
-  return deep_stats_view(view, from, to, max_resolution);
-}
+  const Chain& chain = *view.chain;
+  const util::SimTime raw_from = raw_from_of(view);
 
-StatsResult SensorSeries::deep_stats(util::SimTime from, util::SimTime to,
-                                     util::SimDuration max_resolution) const {
-  StatsResult out;
-  if (to <= from) {
-    out.source = "raw";
-    out.from_effective = from;
+  AggregateStats agg;
+  const auto add_good = [&agg](const sensor::Reading& r) {
+    if (r.quality != sensor::Quality::kBad) {
+      agg.add_sample(r.timestamp, r.value);
+    }
+  };
+  const auto add_raw = [&] {
+    for (const auto& block : chain.sealed) {
+      if (block->last_ts() < from) continue;
+      if (block->first_ts() >= to) break;
+      if (block->first_ts() >= from && block->last_ts() < to) {
+        // Fully covered: fold the footer, no decode.
+        block->add_footer_stats(agg);
+      } else {
+        block->for_each(from, to, add_good);
+      }
+    }
+    for (const sensor::Reading& r : view.active) {
+      if (r.timestamp < from) continue;
+      if (r.timestamp >= to) break;
+      add_good(r);
+    }
+  };
+
+  // A tier contributes only when the caller tolerates its bucket width and
+  // the window actually reaches past the raw tier.
+  const bool cold_usable =
+      !chain.cold.empty() && max_resolution >= config_.cold_resolution;
+  const bool mid_usable =
+      !chain.mid.empty() && max_resolution >= config_.mid_resolution;
+  const bool use_tiers =
+      (cold_usable || mid_usable) && (raw_from < 0 || from < raw_from);
+  if (!use_tiers) {
+    add_raw();
+    out.stats = agg;
+    out.from_effective = raw_from < 0 ? from : std::max(from, raw_from);
     out.to_effective = to;
     return out;
   }
-  std::unique_lock<std::mutex> lock(hot_mu_);
-  const ReadView view = read_view_locked();
-  lock.unlock();
-  return deep_stats_view(view, from, to, max_resolution);
+
+  const util::SimDuration res_used =
+      cold_usable ? config_.cold_resolution : config_.mid_resolution;
+  util::SimTime oldest_covered = raw_from;
+  const auto add_bucket = [&agg](const RollupBucket& b) { agg.add_bucket(b); };
+  if (cold_usable) {
+    oldest_covered = chain.cold.front()->first_ts;
+    for_each_tier_bucket(chain.cold, config_.cold_resolution, from, to,
+                         add_bucket);
+  }
+  if (mid_usable) {
+    if (!cold_usable) oldest_covered = chain.mid.front()->first_ts;
+    for_each_tier_bucket(chain.mid, config_.mid_resolution, from, to,
+                         add_bucket);
+  }
+  add_raw();
+
+  out.stats = agg;
+  out.source = "tiered";
+  out.resolution = res_used;
+  out.from_effective =
+      std::max(align_to(from, res_used),
+               oldest_covered < 0 ? from : oldest_covered);
+  out.to_effective = to;
+  return out;
 }
 
 SeriesResult SensorSeries::range(util::SimTime from, util::SimTime to,
@@ -305,165 +348,99 @@ SeriesResult SensorSeries::range(util::SimTime from, util::SimTime to,
 SeriesResult SensorSeries::downsample(util::SimTime from, util::SimTime to,
                                       std::size_t target_points) const {
   SeriesResult out;
-  if (to <= from || target_points == 0) {
-    out.source = "raw";
-    return out;
-  }
+  out.source = "raw";
+  if (to <= from || target_points == 0) return out;
   const util::SimDuration width = std::max<util::SimDuration>(
       1, (to - from) / static_cast<util::SimDuration>(target_points));
-  std::vector<RollupBucket> bins(target_points);
-  const auto bin_for = [&](util::SimTime ts) -> RollupBucket& {
+  std::vector<SummaryBucket> bins(target_points);
+  // Buckets and readings land in the bin holding their start/timestamp.
+  const auto fold = [&](util::SimTime ts, std::uint64_t count, double sum) {
     auto idx = ts <= from ? 0
                           : static_cast<std::size_t>((ts - from) / width);
     if (idx >= bins.size()) idx = bins.size() - 1;
-    bins[idx].start = from + static_cast<util::SimDuration>(idx) * width;
-    return bins[idx];
+    SummaryBucket& bin = bins[idx];
+    bin.start = from + static_cast<util::SimDuration>(idx) * width;
+    bin.count += count;
+    bin.sum += sum;
   };
 
   std::unique_lock<std::mutex> lock(hot_mu_);
-  if (const RollupRing* ring = pick_ring_locked(from, width)) {
-    // Re-bin the ring's buckets into the requested point count (the ring
-    // may be finer than the implied spacing when no coarser ring covers).
-    out.source = ring_source(ring->resolution());
-    ring->visit(from, to, [&](const RollupBucket& b) {
-      bin_for(b.start).merge(b);
-    });
-  } else {
-    const ReadView view = read_view_locked();
-    lock.unlock();
-    const Chain& chain = *view.chain;
-    const util::SimTime raw_from = raw_from_of(view);
-    const bool cold_usable =
-        !chain.cold.empty() && width >= config_.cold_resolution;
-    const bool mid_usable =
-        !chain.mid.empty() && width >= config_.mid_resolution;
-    const bool use_tiers =
-        (cold_usable || mid_usable) && (raw_from < 0 || from < raw_from);
-    if (use_tiers) {
-      out.source = "tiered";
-      if (cold_usable) {
-        const util::SimTime cfrom = align_to(from, config_.cold_resolution);
-        const util::SimTime cto = align_up_to(to, config_.cold_resolution);
-        for (const auto& tier : chain.cold) {
-          for (const RollupBucket& b : tier->buckets) {
-            if (b.start >= cfrom && b.start < cto) bin_for(b.start).merge(b);
-          }
-        }
-      }
-      if (mid_usable) {
-        const util::SimTime mfrom = align_to(from, config_.mid_resolution);
-        const util::SimTime mto = align_up_to(to, config_.mid_resolution);
-        for (const auto& tier : chain.mid) {
-          for (const RollupBucket& b : tier->buckets) {
-            if (b.start >= mfrom && b.start < mto) bin_for(b.start).merge(b);
-          }
-        }
-      }
-    } else {
-      out.source = "raw";
-    }
-    const auto add = [&](const sensor::Reading& r) {
-      if (r.quality == sensor::Quality::kBad) return;
-      bin_for(r.timestamp).add(r.timestamp, r.value);
-    };
-    for (const auto& block : chain.sealed) {
-      if (block->last_ts() < from) continue;
-      if (block->first_ts() >= to) break;
-      block->for_each(from, to, add);
-    }
-    for (const sensor::Reading& r : view.active) {
-      if (r.timestamp < from) continue;
-      if (r.timestamp >= to) break;
-      add(r);
-    }
-  }
-  for (const RollupBucket& b : bins) {
-    if (!b.empty()) out.points.push_back({b.start, b.mean()});
-  }
-  return out;
-}
-
-StatsResult SensorSeries::deep_stats_view(const ReadView& view,
-                                          util::SimTime from, util::SimTime to,
-                                          util::SimDuration max_res) const {
-  StatsResult out;
+  const ReadView view = read_view_locked();
+  lock.unlock();
   const Chain& chain = *view.chain;
   const util::SimTime raw_from = raw_from_of(view);
-
-  AggregateStats agg;
-  const auto add_raw = [&](util::SimTime lo, util::SimTime hi) {
-    for (const auto& block : chain.sealed) {
-      if (block->last_ts() < lo) continue;
-      if (block->first_ts() >= hi) break;
-      if (block->first_ts() >= lo && block->last_ts() < hi) {
-        // Fully covered: fold the footer, no decode.
-        block->add_footer_stats(agg);
-      } else {
-        block->for_each(lo, hi, [&agg](const sensor::Reading& r) {
-          if (r.quality != sensor::Quality::kBad) {
-            agg.add_sample(r.timestamp, r.value);
-          }
-        });
-      }
-    }
-    for (const sensor::Reading& r : view.active) {
-      if (r.timestamp < lo) continue;
-      if (r.timestamp >= hi) break;
-      if (r.quality != sensor::Quality::kBad) {
-        agg.add_sample(r.timestamp, r.value);
-      }
-    }
-  };
-
-  // A tier contributes only when the caller tolerates its bucket width and
-  // the window actually reaches past the raw tier.
   const bool cold_usable =
-      !chain.cold.empty() && max_res >= config_.cold_resolution;
+      !chain.cold.empty() && width >= config_.cold_resolution;
   const bool mid_usable =
-      !chain.mid.empty() && max_res >= config_.mid_resolution;
+      !chain.mid.empty() && width >= config_.mid_resolution;
   const bool use_tiers =
       (cold_usable || mid_usable) && (raw_from < 0 || from < raw_from);
-  if (!use_tiers) {
-    add_raw(from, to);
-    out.stats = agg;
-    out.from_effective = raw_from < 0 ? from : std::max(from, raw_from);
-    out.to_effective = to;
-    out.source = "raw";
-    return out;
-  }
-
-  const util::SimDuration res_used =
-      cold_usable ? config_.cold_resolution : config_.mid_resolution;
-  util::SimTime oldest_covered = raw_from;
-  if (cold_usable) {
-    oldest_covered = chain.cold.front()->first_ts;
-    const util::SimTime cfrom = align_to(from, config_.cold_resolution);
-    const util::SimTime cto = align_up_to(to, config_.cold_resolution);
-    for (const auto& tier : chain.cold) {
-      for (const RollupBucket& b : tier->buckets) {
-        if (b.start >= cfrom && b.start < cto) agg.add_bucket(b);
-      }
+  const auto fold_bucket = [&](const RollupBucket& b) {
+    fold(b.start, b.count, b.sum);
+  };
+  if (use_tiers) {
+    out.source = "tiered";
+    if (cold_usable) {
+      for_each_tier_bucket(chain.cold, config_.cold_resolution, from, to,
+                           fold_bucket);
+    }
+    if (mid_usable) {
+      for_each_tier_bucket(chain.mid, config_.mid_resolution, from, to,
+                           fold_bucket);
     }
   }
-  if (mid_usable) {
-    if (!cold_usable) oldest_covered = chain.mid.front()->first_ts;
-    const util::SimTime mfrom = align_to(from, config_.mid_resolution);
-    const util::SimTime mto = align_up_to(to, config_.mid_resolution);
-    for (const auto& tier : chain.mid) {
-      for (const RollupBucket& b : tier->buckets) {
-        if (b.start >= mfrom && b.start < mto) agg.add_bucket(b);
-      }
+
+  const auto add = [&](const sensor::Reading& r) {
+    if (r.quality != sensor::Quality::kBad) fold(r.timestamp, 1, r.value);
+  };
+  // Sealed blocks are time-ordered: [first, last) overlap the window and
+  // only the two ends can stick out of it. Once points are at least
+  // cold_resolution apart, the fully covered blocks in between fold their
+  // summaries (one contiguous run of chain.summary); the rest decode.
+  const auto& sealed = chain.sealed;
+  const auto first = static_cast<std::size_t>(
+      std::partition_point(sealed.begin(), sealed.end(),
+                           [&](const auto& b) { return b->last_ts() < from; }) -
+      sealed.begin());
+  const auto last = static_cast<std::size_t>(
+      std::partition_point(sealed.begin() + first, sealed.end(),
+                           [&](const auto& b) { return b->first_ts() < to; }) -
+      sealed.begin());
+  std::size_t full_first = last;  // [full_first, full_last): summarized
+  std::size_t full_last = last;
+  std::size_t summary_begin = 0;
+  std::size_t summary_end = 0;
+  if (width >= config_.cold_resolution && first < last) {
+    full_first = sealed[first]->first_ts() < from ? first + 1 : first;
+    full_last = std::max(full_first,
+                         sealed[last - 1]->last_ts() < to ? last : last - 1);
+    const auto sizes = chain.summary_sizes.begin();
+    summary_begin = std::accumulate(sizes, sizes + full_first, std::size_t{0});
+    summary_end =
+        std::accumulate(sizes + full_first, sizes + full_last, summary_begin);
+  }
+  for (std::size_t i = first; i < full_first; ++i) {
+    sealed[i]->for_each(from, to, add);
+  }
+  for (std::size_t b = summary_begin; b < summary_end; ++b) {
+    fold(chain.summary[b].start, chain.summary[b].count, chain.summary[b].sum);
+  }
+  for (std::size_t i = full_last; i < last; ++i) {
+    sealed[i]->for_each(from, to, add);
+  }
+  for (const sensor::Reading& r : view.active) {
+    if (r.timestamp < from) continue;
+    if (r.timestamp >= to) break;
+    add(r);
+  }
+  if (full_first < full_last && !use_tiers) {
+    out.source = "rollup:" + util::format_duration(config_.cold_resolution);
+  }
+  for (const SummaryBucket& b : bins) {
+    if (b.count > 0) {
+      out.points.push_back({b.start, b.sum / static_cast<double>(b.count)});
     }
   }
-  add_raw(from, to);
-
-  out.stats = agg;
-  out.source = "tiered";
-  out.resolution = res_used;
-  out.from_effective =
-      std::max(align_to(from, res_used),
-               oldest_covered < 0 ? from : oldest_covered);
-  out.to_effective = to;
   return out;
 }
 
@@ -490,7 +467,6 @@ std::uint64_t SensorSeries::tier_evicted() const {
 SensorSeries::Footprint SensorSeries::footprint_locked() const {
   Footprint fp;
   fp.active_bytes = active_.capacity() * sizeof(sensor::Reading);
-  fp.ring_bytes = ring_bytes_;
   fp.sealed_bytes = chain_->sealed_bytes;
   fp.tier_bytes = chain_->tier_bytes;
   return fp;

@@ -8,24 +8,27 @@
 // reading budget or age horizon, the oldest sealed block is demoted — not
 // dropped — into a 1s rollup TierBlock (the mid tier), and mid blocks past
 // their own budget/horizon re-bucket into 60s cold blocks. Only the cold
-// tier ever actually discards history. Rollup rings (PR 4) are unchanged
-// and keep serving recent wide aggregates in O(buckets).
+// tier ever actually discards history.
 //
-// Concurrency: one mutex guards the hot state (active block, rings,
-// counters); the sealed/tier chain is an immutable copy-on-write snapshot
+// One aggregate per age band: every sealed block carries a footer (whole-
+// block stats, hist/block.h) and, stored flat beside it in the chain, a
+// summary of one (start, good count, sum) entry per cold_resolution bucket,
+// built from the readings at seal time; demoted history is tier buckets.
+//
+// Concurrency: one mutex guards the hot state (active block, counters);
+// the sealed/tier chain is an immutable copy-on-write snapshot
 // behind a shared_ptr. A deep read locks only long enough to copy the
 // bounded active block and grab the chain pointer, then decodes/scans
 // compressed history entirely lock-free — readers never block the append
 // path for more than that bounded copy (the seqlock-spirit coordination
 // the read executor relies on).
 //
-// Queries go through a tiny planner: a stats or downsample request names
-// the coarsest bucket width it can accept and is answered from the
-// coarsest ring that is fine enough and still retains the window start;
-// otherwise it falls to a deep scan over sealed blocks + active (exact,
-// footer-accelerated), or — when the window reaches past the raw tier and
-// the caller tolerates tier-width buckets — to the tiered path combining
-// cold buckets, mid buckets and raw readings.
+// A stats query folds the footers of fully covered sealed blocks and
+// decodes only the edge blocks and the active block (exact); when the
+// window reaches past the raw tier and the caller tolerates tier-width
+// buckets it adds cold and mid buckets (the tiered path). A downsample whose
+// point spacing is at least cold_resolution folds fully covered blocks'
+// summaries instead of decoding them; narrower spacings decode.
 
 #include <cstdint>
 #include <memory>
@@ -41,15 +44,9 @@
 
 namespace sensorcer::hist {
 
-/// One rollup ring: bucket width and how many buckets are retained.
-struct RingSpec {
-  util::SimDuration resolution = util::kSecond;
-  std::size_t buckets = 600;
-};
-
-/// Storage layout of one sensor's segment. The defaults retain ~1.5h of
-/// 1 Hz data across three resolutions, with raw history compressed once a
-/// block seals.
+/// Storage layout of one sensor's segment. The defaults retain ~1.1h of
+/// 1 Hz data as raw readings, compressed once a block seals, and older
+/// history as 1s then 60s tier buckets.
 struct SeriesConfig {
   /// Raw readings retained across the active block and the sealed chain.
   /// Overflow demotes the oldest sealed block to the mid tier.
@@ -57,13 +54,10 @@ struct SeriesConfig {
   /// Readings per sealed block: the active block seals when it reaches
   /// this size (clamped to raw_capacity).
   std::size_t block_readings = 512;
-  /// Rollup resolutions; order does not matter (sorted on construction).
-  std::vector<RingSpec> rings{{util::kSecond, 600},
-                              {10 * util::kSecond, 360},
-                              {60 * util::kSecond, 240}};
 
   /// Tiering: sealed blocks demote raw -> mid (1s buckets) -> cold (60s
   /// buckets) -> dropped. Bucket budgets bound each tier's footprint.
+  /// cold_resolution is also the bucket width of sealed-block summaries.
   util::SimDuration mid_resolution = util::kSecond;
   util::SimDuration cold_resolution = 60 * util::kSecond;
   std::size_t mid_max_buckets = 4096;
@@ -82,14 +76,14 @@ struct Point {
 };
 
 /// Result of a stats query. `from_effective`/`to_effective` report the
-/// window actually answered: rollup/tier answers are bucket-aligned, and
-/// every path clamps to what is retained.
+/// window actually answered: tier answers are bucket-aligned, and every
+/// path clamps to what is retained.
 struct StatsResult {
   AggregateStats stats;
   util::SimTime from_effective = 0;
   util::SimTime to_effective = 0;
-  /// "raw", "rollup:<resolution>" (e.g. "rollup:60s"), or "tiered" when
-  /// demoted tiers contributed buckets.
+  /// "raw" (readings and sealed-block footers), or "tiered" when demoted
+  /// tiers contributed buckets.
   std::string source;
   /// Bucket width used; 0 for the raw path. For "tiered" this is the
   /// coarsest tier that contributed.
@@ -99,6 +93,8 @@ struct StatsResult {
 /// Result of a range or downsample query.
 struct SeriesResult {
   std::vector<Point> points;
+  /// "raw", "rollup:<cold_resolution>" (e.g. "rollup:60.000s") when sealed-
+  /// block summaries contributed, or "tiered" when demoted tiers did.
   std::string source;
   /// True when a range query had more matching readings than max_points.
   bool truncated = false;
@@ -117,16 +113,16 @@ class SensorSeries {
     kDuplicate,        // timestamp <= newest retained; dropped (dedup)
   };
 
-  /// Byte footprint split by storage class. active/ring are uncompressed
-  /// fixed allocations; sealed is compressed block bytes (headers, streams
-  /// and footers included); tier is demoted rollup buckets.
+  /// Byte footprint split by storage class. active is the uncompressed
+  /// fixed allocation; sealed is compressed block bytes (headers, streams
+  /// and footers included) plus their summaries; tier is demoted rollup
+  /// buckets.
   struct Footprint {
     std::size_t active_bytes = 0;
-    std::size_t ring_bytes = 0;
     std::size_t sealed_bytes = 0;
     std::size_t tier_bytes = 0;
     [[nodiscard]] std::size_t total() const {
-      return active_bytes + ring_bytes + sealed_bytes + tier_bytes;
+      return active_bytes + sealed_bytes + tier_bytes;
     }
   };
 
@@ -152,24 +148,26 @@ class SensorSeries {
     Footprint footprint;
   };
 
-  /// Append one reading. Raw keeps every quality; rollups and tiers
-  /// aggregate only good/suspect readings (kBad is excluded from
+  /// Append one reading. Raw keeps every quality; footers, summaries and
+  /// tiers aggregate only good/suspect readings (kBad is excluded from
   /// aggregates, matching DataLog::stats_since). Timestamps must be
   /// non-decreasing per series — an equal-or-older timestamp is treated as
   /// a replayed duplicate (the failover-backfill dedup rule) and dropped.
   Append append(const sensor::Reading& reading);
 
-  /// Aggregate over [from, to). `max_resolution` is the coarsest bucket
-  /// width the caller accepts; 0 demands the exact raw path.
+  /// Aggregate over [from, to) from the retention substrate: tier buckets,
+  /// sealed-block footers and decoded edge readings. `max_resolution` is
+  /// the coarsest bucket width the caller accepts; tiers contribute only
+  /// when it admits their width, so 0 demands the exact raw path.
   [[nodiscard]] StatsResult stats(util::SimTime from, util::SimTime to,
                                   util::SimDuration max_resolution) const;
 
-  /// Like stats(), but never answered from the rollup rings: the answer
-  /// comes from the retention substrate (tiers + sealed chain + active).
-  /// This is what the chaos conservation audit and the equivalence tests
-  /// probe — it proves what the tiers actually hold.
+  /// The same answer as stats(); the name the chaos conservation audit and
+  /// the tier equivalence tests probe.
   [[nodiscard]] StatsResult deep_stats(util::SimTime from, util::SimTime to,
-                                       util::SimDuration max_resolution) const;
+                                       util::SimDuration max_resolution) const {
+    return stats(from, to, max_resolution);
+  }
 
   /// Raw-tier readings in [from, to), oldest first, capped at max_points.
   /// Served from the sealed chain + active block (demoted history is no
@@ -177,22 +175,18 @@ class SensorSeries {
   [[nodiscard]] SeriesResult range(util::SimTime from, util::SimTime to,
                                    std::size_t max_points) const;
 
-  /// At most `target_points` (bucket-start, bucket-mean) points over
-  /// [from, to), answered from the coarsest ring whose buckets are no wider
-  /// than the implied point spacing, falling back to tiers + raw scan.
+  /// At most `target_points` (bin-start, bin-mean) points over [from, to).
+  /// Buckets no wider than the implied point spacing are binned by their
+  /// start: cold and mid tier buckets, and the summaries of fully covered
+  /// sealed blocks once the spacing reaches cold_resolution. Edge blocks
+  /// and the active block are decoded and binned reading by reading.
   [[nodiscard]] SeriesResult downsample(util::SimTime from, util::SimTime to,
                                         std::size_t target_points) const;
-
-  /// Planner decision (exposed for tests): the ring that would answer a
-  /// query reaching back to `from` at `max_resolution`, or nullptr for the
-  /// deep path.
-  [[nodiscard]] const RollupRing* pick_ring(
-      util::SimTime from, util::SimDuration max_resolution) const;
 
   /// Free the coldest storage: drop the oldest cold block, else re-bucket
   /// the oldest mid block to cold, else demote the oldest sealed block
   /// straight to the cold tier. Returns bytes freed (0 when only the
-  /// active block and rings remain — the caller should then evict the
+  /// active block remains — the caller should then evict the
   /// whole series). This is the store's eviction ladder: compressed-cold
   /// history goes first, hot uncompressed state last.
   std::size_t shed_coldest();
@@ -202,8 +196,6 @@ class SensorSeries {
   /// The active (uncompressed) append block. Test-only: not synchronized
   /// against a concurrent appender.
   [[nodiscard]] const sensor::DataLog& raw() const { return active_; }
-  /// Test-only, as raw().
-  [[nodiscard]] const std::vector<RollupRing>& rings() const { return rings_; }
 
   [[nodiscard]] util::SimTime last_timestamp() const;
   [[nodiscard]] std::uint64_t appended() const;
@@ -217,14 +209,27 @@ class SensorSeries {
   [[nodiscard]] Counters counters() const;
 
  private:
+  /// One cold_resolution-aligned bucket of a sealed block's summary: the
+  /// block's good/suspect readings in [start, start + cold_resolution).
+  /// Also the (start, count, sum) bin a downsample accumulates.
+  struct SummaryBucket {
+    util::SimTime start = 0;
+    std::uint64_t count = 0;
+    double sum = 0.0;
+  };
+
   /// Immutable snapshot of all non-active storage, oldest-first within
   /// each vector; cold strictly older than mid strictly older than sealed.
   struct Chain {
     std::vector<std::shared_ptr<const SealedBlock>> sealed;
+    /// The sealed blocks' summaries, flat and oldest first: sealed[i] owns
+    /// the next summary_sizes[i] buckets.
+    std::vector<SummaryBucket> summary;
+    std::vector<std::uint32_t> summary_sizes;
     std::vector<std::shared_ptr<const TierBlock>> mid;
     std::vector<std::shared_ptr<const TierBlock>> cold;
     std::uint64_t sealed_readings = 0;
-    std::size_t sealed_bytes = 0;
+    std::size_t sealed_bytes = 0;  // blocks + summaries
     std::size_t tier_bytes = 0;
     std::size_t mid_buckets = 0;
     std::size_t cold_buckets = 0;
@@ -242,9 +247,10 @@ class SensorSeries {
   [[nodiscard]] static util::SimTime raw_from_of(const ReadView& view);
 
   [[nodiscard]] ReadView read_view_locked() const;
-  [[nodiscard]] const RollupRing* pick_ring_locked(
-      util::SimTime from, util::SimDuration max_resolution) const;
   void seal_active_locked();
+  /// Remove the oldest sealed block and its summary from `chain`; returns
+  /// the sealed bytes freed.
+  static std::size_t pop_sealed_front(Chain& chain);
   /// Apply size/age demotion policy to a mutable chain copy; returns true
   /// when it changed. Updates raw_evicted_/tier_evicted_/demotion counters.
   bool demote_locked(Chain& chain);
@@ -252,16 +258,10 @@ class SensorSeries {
   [[nodiscard]] Footprint footprint_locked() const;
   [[nodiscard]] Retention retention_of(const ReadView& view) const;
 
-  [[nodiscard]] StatsResult deep_stats_view(const ReadView& view,
-                                            util::SimTime from,
-                                            util::SimTime to,
-                                            util::SimDuration max_res) const;
-
-  SeriesConfig config_;  // normalized (block size clamped, rings sorted)
+  SeriesConfig config_;  // normalized (block size clamped)
 
   mutable std::mutex hot_mu_;
   sensor::DataLog active_;
-  std::vector<RollupRing> rings_;  // sorted fine -> coarse
   std::shared_ptr<const Chain> chain_;  // never null
   util::SimTime last_ts_ = -1;
   std::uint64_t appended_ = 0;
@@ -269,7 +269,6 @@ class SensorSeries {
   std::uint64_t tier_evicted_ = 0;
   std::uint64_t blocks_sealed_ = 0;
   std::uint64_t blocks_demoted_ = 0;
-  std::size_t ring_bytes_ = 0;
 };
 
 }  // namespace sensorcer::hist

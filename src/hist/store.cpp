@@ -137,8 +137,7 @@ void HistorianStore::apply_series_delta(const SensorSeries::Counters& before,
 
 void HistorianStore::retire_series(const SensorSeries::Counters& counters) {
   bytes_uncompressed_.fetch_sub(
-      static_cast<std::int64_t>(counters.footprint.active_bytes +
-                                counters.footprint.ring_bytes),
+      static_cast<std::int64_t>(counters.footprint.active_bytes),
       std::memory_order_relaxed);
   bytes_sealed_.fetch_sub(
       static_cast<std::int64_t>(counters.footprint.sealed_bytes),
@@ -187,7 +186,7 @@ void HistorianStore::evict_for_budget(Shard& shard, const std::string* keep) {
       shard.bytes -= std::min(freed, shard.bytes);
       continue;
     }
-    // Only the active block and rings remain: evict the segment wholesale —
+    // Only the active block remains: evict the segment wholesale —
     // unless it is the segment currently being appended to, which stays
     // even if the shard then runs over budget.
     if (keep != nullptr && victim->first == *keep) break;
@@ -214,9 +213,8 @@ AppendOutcome HistorianStore::append(
     entry.series = std::make_shared<SensorSeries>(config_.series);
     const SensorSeries::Footprint fp = entry.series->footprint();
     shard.bytes += fp.total();
-    bytes_uncompressed_.fetch_add(
-        static_cast<std::int64_t>(fp.active_bytes + fp.ring_bytes),
-        std::memory_order_relaxed);
+    bytes_uncompressed_.fetch_add(static_cast<std::int64_t>(fp.active_bytes),
+                                  std::memory_order_relaxed);
     it = shard.segments.emplace(sensor, std::move(entry)).first;
   }
   it->second.last_touch =
@@ -284,22 +282,6 @@ StatsResult HistorianStore::stats(const std::string& sensor, util::SimTime from,
     return empty;
   }
   StatsResult out = series->stats(from, to, max_resolution);
-  count_query(out.source);
-  return out;
-}
-
-StatsResult HistorianStore::deep_stats(const std::string& sensor,
-                                       util::SimTime from, util::SimTime to,
-                                       util::SimDuration max_resolution) const {
-  const std::shared_ptr<SensorSeries> series = find_series(sensor);
-  if (series == nullptr) {
-    StatsResult empty;
-    empty.source = "none";
-    empty.from_effective = from;
-    empty.to_effective = to;
-    return empty;
-  }
-  StatsResult out = series->deep_stats(from, to, max_resolution);
   count_query(out.source);
   return out;
 }

@@ -8,14 +8,14 @@
 // shard lock and then run entirely off-lock, so the read executor's workers
 // never serialize behind an appender holding a shard.
 //
-// Byte accounting is split by storage class — uncompressed (active blocks +
-// rollup rings), sealed (compressed blocks, footers included) and tiered
-// (demoted rollup buckets) — and the eviction budget reflects the real
-// total. Admitting past the budget first sheds the least-recently-appended
-// series' coldest storage (cold tier → mid tier → oldest sealed block) and
-// only evicts a segment wholesale once nothing sheddable remains. All
-// ingest/query/eviction activity is mirrored onto the obs metrics registry
-// (hist.*) for the federation health report.
+// Byte accounting is split by storage class — uncompressed (active
+// blocks), sealed (compressed blocks with their footers and summaries) and
+// tiered (demoted rollup buckets) — and the eviction budget reflects the
+// real total. Admitting past the budget first sheds the least-recently-
+// appended series' coldest storage (cold tier → mid tier → oldest sealed
+// block) and only evicts a segment wholesale once nothing sheddable
+// remains. All ingest/query/eviction activity is mirrored onto the obs
+// metrics registry (hist.*) for the federation health report.
 
 #include <atomic>
 #include <cstdint>
@@ -62,8 +62,8 @@ struct StoreStats {
   std::uint64_t evicted_series = 0;    // whole segments shed by the budget
 
   // Storage-class split (satellite: real byte accounting).
-  std::size_t bytes_uncompressed = 0;  // active blocks + rollup rings
-  std::size_t bytes_sealed = 0;        // compressed blocks incl. footers
+  std::size_t bytes_uncompressed = 0;  // active blocks only
+  std::size_t bytes_sealed = 0;        // compressed blocks + summaries
   std::size_t bytes_tiered = 0;        // demoted tier buckets
   std::size_t sealed_blocks = 0;       // live
   std::size_t tier_blocks = 0;         // live (mid + cold)
@@ -91,25 +91,26 @@ class HistorianStore {
   [[nodiscard]] util::SimTime last_timestamp(const std::string& sensor) const;
 
   /// Aggregate over [from, to); see SensorSeries::stats. Counts toward
-  /// hist.query_rollup / hist.query_tiered / hist.query_raw depending on
-  /// the path taken.
+  /// hist.query_tiered or hist.query_raw depending on the path taken.
   [[nodiscard]] StatsResult stats(const std::string& sensor, util::SimTime from,
                                   util::SimTime to,
                                   util::SimDuration max_resolution) const;
 
-  /// stats() bypassing the rollup rings — answered from the retention
-  /// substrate (tiers + sealed chain + active block). Used by the chaos
-  /// conservation audit and equivalence tests.
+  /// The same answer as stats(); the name the chaos conservation audit and
+  /// the equivalence tests probe.
   [[nodiscard]] StatsResult deep_stats(const std::string& sensor,
                                        util::SimTime from, util::SimTime to,
-                                       util::SimDuration max_resolution) const;
+                                       util::SimDuration max_resolution) const {
+    return stats(sensor, from, to, max_resolution);
+  }
 
   /// Raw-tier readings in [from, to), capped at max_points.
   [[nodiscard]] SeriesResult range(const std::string& sensor,
                                    util::SimTime from, util::SimTime to,
                                    std::size_t max_points) const;
 
-  /// At most target_points bucket-mean points over [from, to).
+  /// At most target_points bucket-mean points over [from, to). Counts
+  /// toward hist.query_rollup when sealed-block summaries answered it.
   [[nodiscard]] SeriesResult downsample(const std::string& sensor,
                                         util::SimTime from, util::SimTime to,
                                         std::size_t target_points) const;

@@ -178,6 +178,7 @@ std::string render_federation_health(const Snapshot& snap) {
   rows.push_back({"historian", "evicted readings / series",
                   std::to_string(snap.counter_or("hist.evicted")) + " / " +
                       std::to_string(snap.counter_or("hist.series_evicted"))});
+  // "rollup" counts downsamples answered from sealed-block summaries.
   rows.push_back(
       {"historian", "queries rollup / tiered / raw",
        std::to_string(snap.counter_or("hist.query_rollup")) + " / " +

@@ -25,7 +25,6 @@ TEST(ReadingTracker, AuditFollowsReadingsThroughTierDemotion) {
   hist::HistorianConfig config;
   config.series.raw_capacity = 128;
   config.series.block_readings = 32;
-  config.series.rings = {};
   config.max_bytes = 0;
   hist::HistorianStore store(config);
 

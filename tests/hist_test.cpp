@@ -1,8 +1,9 @@
-// Tests for the federated sensor-data historian (src/hist/): rollup-ring
-// correctness against brute force over randomized readings, retention and
-// eviction accounting, the coarsest-ring query planner, wire-mode ingestion
-// with byte accounting, feeder bind/unbind on historian transitions, and
-// the failover backfill leaving no gaps in recorded history.
+// Tests for the federated sensor-data historian (src/hist/): stats and
+// downsample answers against brute force over randomized readings (sealed
+// footers, block summaries and demoted tiers), retention and eviction
+// accounting, wire-mode ingestion with byte accounting, feeder bind/unbind
+// on historian transitions, and the failover backfill leaving no gaps in
+// recorded history.
 
 #include <gtest/gtest.h>
 
@@ -37,105 +38,12 @@ std::uint64_t counter(const std::string& name) {
   return obs::metrics().counter(name).value();
 }
 
-// --- RollupRing -----------------------------------------------------------------------------
-
-TEST(RollupRing, BucketsAlignAndAggregate) {
-  RollupRing ring(10, 8);  // 10-unit buckets
-  EXPECT_TRUE(ring.empty());
-  EXPECT_TRUE(ring.append(3, 1.0));
-  EXPECT_TRUE(ring.append(7, 3.0));
-  EXPECT_TRUE(ring.append(15, 10.0));
-  EXPECT_FALSE(ring.empty());
-  EXPECT_EQ(ring.newest_start(), 10);
-  EXPECT_EQ(ring.retained_from(), 0);
-
-  const auto all = ring.aggregate(0, 20);
-  EXPECT_EQ(all.count, 3u);
-  EXPECT_DOUBLE_EQ(all.min, 1.0);
-  EXPECT_DOUBLE_EQ(all.max, 10.0);
-  EXPECT_DOUBLE_EQ(all.sum, 14.0);
-  EXPECT_DOUBLE_EQ(all.last, 10.0);
-
-  // Window [0, 10) covers only the first bucket.
-  const auto first = ring.aggregate(0, 10);
-  EXPECT_EQ(first.count, 2u);
-  EXPECT_DOUBLE_EQ(first.sum, 4.0);
-  // An unaligned window widens to bucket boundaries: [0, 10).
-  const auto widened = ring.aggregate(2, 8);
-  EXPECT_EQ(widened.count, 2u);
-}
-
-TEST(RollupRing, EvictsOldBucketsAndCountsReadings) {
-  RollupRing ring(10, 4);  // retains 4 buckets = 40 units
-  for (util::SimTime t = 0; t < 60; t += 5) ring.append(t, 1.0);
-  // Buckets 0 and 10 (2 readings each) aged out.
-  EXPECT_EQ(ring.evicted_readings(), 4u);
-  EXPECT_EQ(ring.retained_from(), 20);
-  EXPECT_EQ(ring.newest_start(), 50);
-  EXPECT_TRUE(ring.covers(20));
-  EXPECT_FALSE(ring.covers(19));
-  // A reading older than the retained window is rejected.
-  EXPECT_FALSE(ring.append(5, 1.0));
-  // An in-window out-of-order reading (backfill) lands in its bucket.
-  EXPECT_TRUE(ring.append(25, 7.0));
-  const auto b = ring.aggregate(20, 30);
-  EXPECT_EQ(b.count, 3u);
-  EXPECT_DOUBLE_EQ(b.max, 7.0);
-}
-
-TEST(RollupRing, JumpFarAheadResetsRing) {
-  RollupRing ring(10, 4);
-  ring.append(0, 1.0);
-  ring.append(1000, 2.0);  // > capacity buckets ahead: everything before ages out
-  EXPECT_EQ(ring.evicted_readings(), 1u);
-  EXPECT_EQ(ring.retained_from(), 1000);
-  const auto all = ring.aggregate(0, 2000);
-  EXPECT_EQ(all.count, 1u);
-  EXPECT_DOUBLE_EQ(all.last, 2.0);
-}
-
-TEST(RollupRing, RandomizedAggregateMatchesBruteForce) {
-  util::Rng rng(1234);
-  RollupRing ring(1 * kSecond, 4096);
-  std::vector<Reading> all;
-  util::SimTime t = 0;
-  for (int i = 0; i < 3000; ++i) {
-    t += rng.between(1, 900 * 1000);  // 1µs .. 0.9s steps: several per bucket
-    const double v = rng.next_double() * 200.0 - 100.0;
-    ring.append(t, v);
-    all.push_back(make_reading(t, v));
-  }
-  ASSERT_TRUE(ring.covers(0)) << "test span must fit in the ring";
-
-  for (int trial = 0; trial < 50; ++trial) {
-    const util::SimTime from = rng.between(0, t);
-    const util::SimTime to = from + rng.between(0, t - from);
-    const auto got = ring.aggregate(from, to);
-    // Brute force over the bucket-aligned window the ring answers.
-    AggregateStats want;
-    for (const auto& r : all) {
-      if (r.timestamp >= ring.align(from) && r.timestamp < ring.align_up(to)) {
-        want.add_sample(r.timestamp, r.value);
-      }
-    }
-    ASSERT_EQ(got.count, want.count) << "trial " << trial;
-    if (want.count > 0) {
-      EXPECT_DOUBLE_EQ(got.min, want.min);
-      EXPECT_DOUBLE_EQ(got.max, want.max);
-      EXPECT_NEAR(got.sum, want.sum, 1e-6 * std::abs(want.sum) + 1e-9);
-      EXPECT_DOUBLE_EQ(got.last, want.last);
-      EXPECT_EQ(got.last_ts, want.last_ts);
-    }
-  }
-}
-
 // --- SensorSeries ---------------------------------------------------------------------------
 
 SeriesConfig wide_config() {
-  // Rings wide enough to retain the whole randomized test span.
+  // A raw tier wide enough to retain the whole randomized test span.
   SeriesConfig config;
   config.raw_capacity = 4096;
-  config.rings = {{1 * kSecond, 8192}, {10 * kSecond, 1024}, {60 * kSecond, 256}};
   return config;
 }
 
@@ -177,47 +85,9 @@ TEST(SensorSeries, RandomizedStatsMatchBruteForceOnEveryPath) {
         EXPECT_NEAR(got.stats.sum, want.sum, 1e-6 * std::abs(want.sum) + 1e-9);
         EXPECT_DOUBLE_EQ(got.stats.last, want.last);
       }
-      if (max_res == 0) {
-        EXPECT_EQ(got.source, "raw");
-      } else {
-        EXPECT_TRUE(got.source.rfind("rollup:", 0) == 0) << got.source;
-      }
+      EXPECT_EQ(got.source, "raw");
     }
   }
-}
-
-TEST(SensorSeries, PlannerPicksCoarsestCoveringRing) {
-  SensorSeries series;  // defaults: 1s x 600, 10s x 360, 60s x 240
-  for (util::SimTime s = 0; s < 5000; ++s) {
-    series.append(make_reading(s * kSecond, 1.0));
-  }
-  // Retention: 1s ring from 4400s, 10s ring from 1400s, 60s ring covers all.
-
-  // Wide tolerance picks the coarsest ring.
-  const RollupRing* ring = series.pick_ring(4900 * kSecond, 60 * kSecond);
-  ASSERT_NE(ring, nullptr);
-  EXPECT_EQ(ring->resolution(), 60 * kSecond);
-
-  // A 5s tolerance admits only the 1s ring.
-  ring = series.pick_ring(4900 * kSecond, 5 * kSecond);
-  ASSERT_NE(ring, nullptr);
-  EXPECT_EQ(ring->resolution(), 1 * kSecond);
-
-  // Reaching back past the 1s ring's retention with a 10s tolerance
-  // upgrades to the 10s ring, which still covers the window start.
-  ring = series.pick_ring(2000 * kSecond, 10 * kSecond);
-  ASSERT_NE(ring, nullptr);
-  EXPECT_EQ(ring->resolution(), 10 * kSecond);
-
-  // A 5s tolerance cannot use the 10s ring and the 1s ring aged out: raw.
-  EXPECT_EQ(series.pick_ring(2000 * kSecond, 5 * kSecond), nullptr);
-  // max_resolution 0 always demands the raw path.
-  EXPECT_EQ(series.pick_ring(4900 * kSecond, 0), nullptr);
-
-  // stats() agrees with the planner.
-  EXPECT_EQ(series.stats(4900 * kSecond, 5000 * kSecond, 60 * kSecond).resolution,
-            60 * kSecond);
-  EXPECT_EQ(series.stats(4900 * kSecond, 5000 * kSecond, 0).source, "raw");
 }
 
 TEST(SensorSeries, DedupsReplayedTimestamps) {
@@ -263,7 +133,6 @@ TEST(SensorSeries, SealedChainQueriesMatchUncompressedOracle) {
   SeriesConfig config;
   config.raw_capacity = 100000;
   config.block_readings = 64;
-  config.rings = {};  // no rollup rings: every query walks the chain
   SensorSeries series(config);
 
   util::Rng rng(2024);
@@ -330,7 +199,6 @@ TEST(SensorSeries, RawOverflowDemotesIntoTiersInsteadOfDropping) {
   SeriesConfig config;
   config.raw_capacity = 256;
   config.block_readings = 64;
-  config.rings = {};
   SensorSeries series(config);
 
   // 2000 readings at 0.5s cadence; raw keeps ~256, the rest must survive
@@ -381,7 +249,6 @@ TEST(SensorSeries, ShedColdestFreesTiersBeforeSealedBlocks) {
   SeriesConfig config;
   config.raw_capacity = 256;
   config.block_readings = 64;
-  config.rings = {};
   SensorSeries series(config);
   for (int i = 0; i < 2000; ++i) {
     series.append(make_reading(static_cast<util::SimTime>(i) * kSecond,
@@ -406,6 +273,125 @@ TEST(SensorSeries, ShedColdestFreesTiersBeforeSealedBlocks) {
   }
   EXPECT_EQ(series.footprint().sealed_bytes, 0u);
   EXPECT_EQ(series.footprint().tier_bytes, 0u);
+}
+
+/// Brute-force downsample over individual readings: the series' binning
+/// rule (bin = (ts - from) / spacing, clamped to the last bin) applied to
+/// every non-bad reading in [from, to).
+std::vector<Point> oracle_downsample(const std::vector<Reading>& all,
+                                     util::SimTime from, util::SimTime to,
+                                     std::size_t target) {
+  const util::SimDuration width = std::max<util::SimDuration>(
+      1, (to - from) / static_cast<util::SimDuration>(target));
+  std::vector<std::uint64_t> counts(target, 0);
+  std::vector<double> sums(target, 0.0);
+  for (const auto& r : all) {
+    if (r.quality == Quality::kBad || r.timestamp < from || r.timestamp >= to) {
+      continue;
+    }
+    const auto idx = std::min<std::size_t>(
+        static_cast<std::size_t>((r.timestamp - from) / width), target - 1);
+    ++counts[idx];
+    sums[idx] += r.value;
+  }
+  std::vector<Point> points;
+  for (std::size_t i = 0; i < target; ++i) {
+    if (counts[i] > 0) {
+      points.push_back({from + static_cast<util::SimDuration>(i) * width,
+                        sums[i] / static_cast<double>(counts[i])});
+    }
+  }
+  return points;
+}
+
+TEST(SensorSeries, DownsampleMatchesReadingOracle) {
+  // Small blocks and a small mid tier: history spans cold buckets, mid
+  // buckets, sealed blocks (with their summaries) and the active block.
+  SeriesConfig config;
+  config.raw_capacity = 512;
+  config.block_readings = 64;
+  config.mid_max_buckets = 512;
+  SensorSeries series(config);
+
+  util::Rng rng(4242);
+  std::vector<Reading> all;
+  util::SimTime t = 0;
+  for (int i = 0; i < 4000; ++i) {
+    t += rng.between(200 * 1000, 1800 * 1000);  // 0.2s..1.8s
+    const double roll = rng.next_double();
+    const Quality q = roll < 0.1    ? Quality::kBad
+                      : roll < 0.2  ? Quality::kSuspect
+                                    : Quality::kGood;
+    const Reading r = make_reading(t, rng.next_double() * 50.0, q);
+    ASSERT_NE(series.append(r), SensorSeries::Append::kDuplicate);
+    all.push_back(r);
+  }
+  ASSERT_EQ(series.counters().tier_evicted, 0u);
+  // Both tiers hold history: a 1s tolerance reaches only the mid tier, a
+  // 60s tolerance the cold tier too.
+  EXPECT_EQ(series.stats(0, t + 1, kSecond).resolution, kSecond);
+  EXPECT_EQ(series.stats(0, t + 1, 60 * kSecond).resolution, 60 * kSecond);
+  const util::SimTime raw_from = series.retention().raw_from;
+  ASSERT_GT(raw_from, 0);
+
+  const util::SimDuration minute = 60 * kSecond;
+  const util::SimTime end = ((t + minute) / minute) * minute;
+  const auto expect_matches = [&](util::SimTime from, util::SimTime to,
+                                  std::size_t target) -> std::string {
+    const auto got = series.downsample(from, to, target);
+    const auto want = oracle_downsample(all, from, to, target);
+    EXPECT_EQ(got.points.size(), want.size())
+        << "window [" << from << ", " << to << ") target " << target;
+    if (got.points.size() != want.size()) return got.source;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got.points[i].timestamp, want[i].timestamp);
+      EXPECT_NEAR(got.points[i].value, want[i].value,
+                  1e-9 * std::max(1.0, std::abs(want[i].value)));
+    }
+    return got.source;
+  };
+
+  // Windows on the 60s grid with whole-minute spacing: tier, summary and
+  // reading bins coincide, so every point is the per-reading bin mean.
+  for (int trial = 0; trial < 60; ++trial) {
+    const util::SimDuration width =
+        static_cast<util::SimDuration>(rng.between(1, 5)) * minute;
+    const util::SimTime from =
+        static_cast<util::SimTime>(rng.between(0, end / minute - 1)) * minute;
+    const auto max_points = static_cast<std::size_t>((end - from) / width);
+    if (max_points == 0) continue;
+    const auto target = static_cast<std::size_t>(
+        rng.between(1, static_cast<std::int64_t>(max_points)));
+    expect_matches(from, from + static_cast<util::SimDuration>(target) * width,
+                   target);
+  }
+  // The whole history crosses cold, mid, summaries and the active block.
+  EXPECT_EQ(expect_matches(0, end, static_cast<std::size_t>(end / minute)),
+            "tiered");
+
+  // Inside the raw tier the summaries answer: the source says so.
+  const util::SimTime raw_grid = ((raw_from + minute - 1) / minute) * minute;
+  EXPECT_EQ(expect_matches(raw_grid, end,
+                           static_cast<std::size_t>((end - raw_grid) / minute)),
+            "rollup:" + util::format_duration(minute));
+
+  // Spacing under 60s decodes every reading: exact, off-grid windows too.
+  for (int trial = 0; trial < 20; ++trial) {
+    const util::SimTime from = rng.between(raw_from, t);
+    const util::SimTime to = from + rng.between(1, t + 1 - from);
+    const auto target = static_cast<std::size_t>(rng.between(1, 200));
+    if ((to - from) / static_cast<util::SimDuration>(target) >= minute) {
+      continue;
+    }
+    const auto got = series.downsample(from, to, target);
+    const auto want = oracle_downsample(all, from, to, target);
+    EXPECT_EQ(got.source, "raw");
+    ASSERT_EQ(got.points.size(), want.size()) << "trial " << trial;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got.points[i].timestamp, want[i].timestamp);
+      EXPECT_DOUBLE_EQ(got.points[i].value, want[i].value);
+    }
+  }
 }
 
 // --- read executor --------------------------------------------------------------------------
@@ -441,7 +427,6 @@ TEST(SensorSeries, ConcurrentReadersNeverBlockOrTearWhileAppending) {
   SeriesConfig config;
   config.raw_capacity = 512;
   config.block_readings = 64;
-  config.rings = {{1 * kSecond, 64}};
   SensorSeries series(config);
 
   std::atomic<bool> done{false};
@@ -511,15 +496,14 @@ TEST(HistorianStore, CountsAppendsDuplicatesAndQueries) {
   const auto rollup_before = counter("hist.query_rollup");
   (void)store.stats("a", 0, 100, 0);
   (void)store.stats("a", 0, 100, 60 * kSecond);
-  EXPECT_EQ(counter("hist.query_raw") - raw_before, 1u);
-  EXPECT_EQ(counter("hist.query_rollup") - rollup_before, 1u);
+  EXPECT_EQ(counter("hist.query_raw") - raw_before, 2u);
+  EXPECT_EQ(counter("hist.query_rollup") - rollup_before, 0u);
 }
 
 TEST(HistorianStore, ByteBudgetEvictsLeastRecentlyAppendedSeries) {
   // Measure one segment's footprint with an unbounded store first.
   HistorianConfig probe_config;
   probe_config.series.raw_capacity = 32;
-  probe_config.series.rings = {{1 * kSecond, 16}};
   probe_config.max_bytes = 0;
   HistorianStore probe(probe_config);
   probe.append("x", {make_reading(1, 1.0)});
@@ -545,7 +529,6 @@ TEST(HistorianStore, ByteAccountingSplitsStorageClasses) {
   HistorianConfig config;
   config.series.raw_capacity = 256;
   config.series.block_readings = 64;
-  config.series.rings = {{1 * kSecond, 32}};
   config.max_bytes = 0;
   HistorianStore store(config);
   std::vector<Reading> batch;
@@ -582,7 +565,6 @@ TEST(HistorianStore, BudgetEvictionShedsCompressedTiersBeforeSegments) {
   HistorianConfig config;
   config.series.raw_capacity = 128;
   config.series.block_readings = 32;
-  config.series.rings = {};
   config.shards = 1;
   config.max_bytes = 0;
   HistorianStore probe(config);
