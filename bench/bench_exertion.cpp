@@ -10,10 +10,10 @@
 // N round-trips overlap in virtual time instead of serializing.
 //
 // `bench_exertion wire` runs just the wire section; `bench_exertion smoke`
-// runs a seconds-scale subset (marshalling table + wire sweep, CI under
-// ASan). The marshalling micro-table compares the legacy string envelope
-// against the flat interned codec (PERF-5) on real wall-clock time, payload
-// bytes and heap allocations per call.
+// runs a seconds-scale subset (marshalling table + wire sweep, CI tier-1
+// and under ASan). The marshalling micro-table compares the legacy string
+// envelope (bench/legacy_codec.h) against the flat interned codec (PERF-5)
+// on real wall-clock time, payload bytes and heap allocations per call.
 
 #include <atomic>
 #include <chrono>
@@ -22,6 +22,7 @@
 #include <new>
 #include <string>
 
+#include "bench/legacy_codec.h"
 #include "registry/lease_renewal.h"
 #include "simnet/network.h"
 #include "sorcer/codec.h"
@@ -200,13 +201,13 @@ MarshalStats time_marshal(std::size_t iters, Fn&& per_call) {
 MarshalStats marshal_legacy(const ServiceContext& src, std::size_t iters) {
   return time_marshal(iters, [&]() -> double {
     WireBuffer buf;
-    encode_context_legacy(src, buf);
+    bench::encode_context_legacy(src, buf);
     ServiceContext dst;
-    if (!decode_context_legacy(buf.data(), buf.size(), dst).is_ok()) {
+    if (!bench::decode_context_legacy(buf.data(), buf.size(), dst).is_ok()) {
       std::puts("FAILED: legacy decode error in marshalling table");
       std::exit(1);
     }
-    return static_cast<double>(buf.size() + wire::kRequestEnvelopeBytes);
+    return static_cast<double>(buf.size() + bench::kRequestEnvelopeBytes);
   });
 }
 

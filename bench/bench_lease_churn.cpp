@@ -4,9 +4,9 @@
 //
 // Simulates a churning population of sensor services: services join, live
 // for a random time, then either leave cleanly or crash (stop renewing).
-// Every service hands its lease to the real LeaseRenewalManager; each lease
-// duration is run twice — with per-lease renewal messages (batching off,
-// the pre-PR-8 wire protocol) and with per-(shard, window) renewAll batches.
+// Each lease duration is run twice: with the real LeaseRenewalManager's
+// per-(shard, window) renewAll batches, and with PerLeaseRenewer below, the
+// baseline batching replaced (one timer and one renewal message per lease).
 // Sweeps the lease duration and reports, per setting: how long crashed
 // services lingered as stale registry entries (detection latency), and the
 // renewal traffic paid for freshness in both modes. Expected shape: stale
@@ -18,9 +18,11 @@
 // 1s leases) and exits nonzero unless the >= 10x message reduction and the
 // convergence equivalence both hold — CI's renewal-traffic regression gate.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <unordered_map>
 
 #include "obs/metrics.h"
 #include "registry/lease_renewal.h"
@@ -34,6 +36,45 @@ using registry::LookupService;
 namespace {
 
 class NullProxy : public registry::ServiceProxy {};
+
+/// The per-lease renewal baseline: one scheduler timer per lease at its
+/// half-life, each firing one renew_lease message. A refused renewal lets
+/// the lease lapse.
+class PerLeaseRenewer {
+ public:
+  PerLeaseRenewer(util::Scheduler& sched, LookupService& lus)
+      : sched_(sched), lus_(lus) {}
+  ~PerLeaseRenewer() {
+    for (auto& [id, timer] : timers_) sched_.cancel(timer);
+  }
+
+  void manage(const util::Uuid& id, util::SimDuration duration) {
+    const util::SimDuration half =
+        std::max<util::SimDuration>(duration / 2, util::kMillisecond);
+    timers_[id] = sched_.schedule_after(half, [this, id, duration] {
+      timers_.erase(id);
+      if (lus_.renew_lease(id, duration).is_ok()) manage(id, duration);
+    });
+  }
+
+  void release(const util::Uuid& id) {
+    if (auto it = timers_.find(id); it != timers_.end()) {
+      sched_.cancel(it->second);
+      timers_.erase(it);
+    }
+  }
+
+  void cancel(const util::Uuid& id) {
+    if (!timers_.contains(id)) return;
+    (void)lus_.cancel_lease(id);
+    release(id);
+  }
+
+ private:
+  util::Scheduler& sched_;
+  LookupService& lus_;
+  std::unordered_map<util::Uuid, util::TimerId> timers_;
+};
 
 registry::ServiceItem make_item(const std::string& name) {
   registry::ServiceItem item;
@@ -57,8 +98,18 @@ ChurnResult run_churn(util::SimDuration lease, bool batched) {
   auto lus = std::make_shared<LookupService>("lus", sched);
   // The renewal window tracks the half-life: every renewal falling due
   // within half a lease rides the same per-shard renewAll message.
-  registry::LeaseRenewalManager lrm(
-      sched, registry::LeaseBatchConfig{batched, lease / 2});
+  registry::LeaseRenewalManager lrm(sched,
+                                    registry::LeaseBatchConfig{lease / 2});
+  PerLeaseRenewer individual(sched, *lus);
+  const auto manage = [&](const registry::Lease& l) {
+    batched ? lrm.manage(l, lus, lease) : individual.manage(l.id, lease);
+  };
+  const auto release = [&](const util::Uuid& id) {
+    batched ? lrm.release(id) : individual.release(id);
+  };
+  const auto cancel = [&](const util::Uuid& id) {
+    batched ? lrm.cancel(id) : individual.cancel(id);
+  };
   // Same seed in both modes: identical fates, so the final populations are
   // directly comparable (the convergence-equivalence half of the CI gate).
   util::Rng rng(static_cast<std::uint64_t>(lease) * 7919 + 1);
@@ -101,7 +152,7 @@ ChurnResult run_churn(util::SimDuration lease, bool batched) {
   for (int i = 0; i < kServices; ++i) {
     auto reg =
         lus->register_service(make_item("s" + std::to_string(i)), lease);
-    lrm.manage(reg.lease, lus, lease);
+    manage(reg.lease);
 
     // Fate: 60% crash at a random time, 20% leave cleanly, 20% live on.
     const double fate = rng.next_double();
@@ -112,15 +163,15 @@ ChurnResult run_churn(util::SimDuration lease, bool batched) {
       // Crash: renewals stop (release), the stale entry lingers until the
       // lease runs out. Mark for stale-time measurement.
       sched.schedule_at(sched.now() + lifetime,
-                        [&crashed, &lrm, &sched, lease_id,
+                        [&crashed, &release, &sched, lease_id,
                          id = reg.service_id] {
-                          lrm.release(lease_id);
+                          release(lease_id);
                           crashed.push_back({id, sched.now()});
                         });
     } else if (fate < 0.8) {
       // Clean leave: cancel at the LUS immediately at end of life.
       sched.schedule_at(sched.now() + lifetime,
-                        [&lrm, lease_id] { lrm.cancel(lease_id); });
+                        [&cancel, lease_id] { cancel(lease_id); });
     } else {
       ++alive_forever;
     }

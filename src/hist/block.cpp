@@ -2,11 +2,14 @@
 
 #include <limits>
 
+#include "util/bytes.h"
 #include "util/gorilla.h"
 
 namespace sensorcer::hist {
 namespace {
 
+using util::bytes::load_u64;
+using util::bytes::put_u64;
 using util::gorilla::BitReader;
 using util::gorilla::BitWriter;
 using util::gorilla::bits_double;
@@ -46,18 +49,6 @@ std::uint32_t get_u32(const std::uint8_t* p) {
          (static_cast<std::uint32_t>(p[1]) << 8) |
          (static_cast<std::uint32_t>(p[2]) << 16) |
          (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return v;
 }
 
 }  // namespace
@@ -183,15 +174,15 @@ util::Result<std::shared_ptr<const SealedBlock>> SealedBlock::open(
   const std::uint8_t* footer =
       bytes.data() + bytes.size() - kFooterBytes;
   Footer& f = block->footer_;
-  f.first_ts = static_cast<util::SimTime>(get_u64(footer));
-  f.last_ts = static_cast<util::SimTime>(get_u64(footer + 8));
+  f.first_ts = static_cast<util::SimTime>(load_u64(footer));
+  f.last_ts = static_cast<util::SimTime>(load_u64(footer + 8));
   f.count = get_u32(footer + 16);
   f.good_count = get_u32(footer + 20);
-  f.min = bits_double(get_u64(footer + 24));
-  f.max = bits_double(get_u64(footer + 32));
-  f.sum = bits_double(get_u64(footer + 40));
-  f.last = bits_double(get_u64(footer + 48));
-  f.last_good_ts = static_cast<util::SimTime>(get_u64(footer + 56));
+  f.min = bits_double(load_u64(footer + 24));
+  f.max = bits_double(load_u64(footer + 32));
+  f.sum = bits_double(load_u64(footer + 40));
+  f.last = bits_double(load_u64(footer + 48));
+  f.last_good_ts = static_cast<util::SimTime>(load_u64(footer + 56));
   if (f.count != count || f.good_count > f.count ||
       f.last_ts < f.first_ts) {
     return {util::ErrorCode::kInvalidArgument, "sealed block bad footer"};

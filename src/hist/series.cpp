@@ -218,11 +218,13 @@ std::size_t SensorSeries::shed_coldest() {
   return freed;
 }
 
-SensorSeries::ReadView SensorSeries::read_view_locked() const {
+SensorSeries::ReadView SensorSeries::read_view_locked(util::SimTime from,
+                                                      util::SimTime to) const {
   ReadView view;
   view.chain = chain_;
-  view.active = active_.snapshot();
-  view.last_ts = last_ts_;
+  if (active_.empty()) return view;
+  view.active_first_ts = active_.oldest().timestamp;
+  if (from < to) view.active = active_.window(from, to);
   return view;
 }
 
@@ -230,8 +232,7 @@ util::SimTime SensorSeries::raw_from_of(const ReadView& view) {
   if (!view.chain->sealed.empty()) {
     return view.chain->sealed.front()->first_ts();
   }
-  if (!view.active.empty()) return view.active.front().timestamp;
-  return -1;
+  return view.active_first_ts;
 }
 
 StatsResult SensorSeries::stats(util::SimTime from, util::SimTime to,
@@ -244,7 +245,7 @@ StatsResult SensorSeries::stats(util::SimTime from, util::SimTime to,
     return out;
   }
   std::unique_lock<std::mutex> lock(hot_mu_);
-  const ReadView view = read_view_locked();
+  const ReadView view = read_view_locked(from, to);
   lock.unlock();
   const Chain& chain = *view.chain;
   const util::SimTime raw_from = raw_from_of(view);
@@ -266,11 +267,7 @@ StatsResult SensorSeries::stats(util::SimTime from, util::SimTime to,
         block->for_each(from, to, add_good);
       }
     }
-    for (const sensor::Reading& r : view.active) {
-      if (r.timestamp < from) continue;
-      if (r.timestamp >= to) break;
-      add_good(r);
-    }
+    for (const sensor::Reading& r : view.active) add_good(r);
   };
 
   // A tier contributes only when the caller tolerates its bucket width and
@@ -320,7 +317,7 @@ SeriesResult SensorSeries::range(util::SimTime from, util::SimTime to,
   SeriesResult out;
   out.source = "raw";
   std::unique_lock<std::mutex> lock(hot_mu_);
-  const ReadView view = read_view_locked();
+  const ReadView view = read_view_locked(from, to);
   lock.unlock();
 
   const auto take = [&](const sensor::Reading& r) {
@@ -336,11 +333,7 @@ SeriesResult SensorSeries::range(util::SimTime from, util::SimTime to,
     block->for_each(from, to, take);
   }
   if (!out.truncated) {
-    for (const sensor::Reading& r : view.active) {
-      if (r.timestamp < from) continue;
-      if (r.timestamp >= to) break;
-      take(r);
-    }
+    for (const sensor::Reading& r : view.active) take(r);
   }
   return out;
 }
@@ -365,7 +358,7 @@ SeriesResult SensorSeries::downsample(util::SimTime from, util::SimTime to,
   };
 
   std::unique_lock<std::mutex> lock(hot_mu_);
-  const ReadView view = read_view_locked();
+  const ReadView view = read_view_locked(from, to);
   lock.unlock();
   const Chain& chain = *view.chain;
   const util::SimTime raw_from = raw_from_of(view);
@@ -428,11 +421,7 @@ SeriesResult SensorSeries::downsample(util::SimTime from, util::SimTime to,
   for (std::size_t i = full_last; i < last; ++i) {
     sealed[i]->for_each(from, to, add);
   }
-  for (const sensor::Reading& r : view.active) {
-    if (r.timestamp < from) continue;
-    if (r.timestamp >= to) break;
-    add(r);
-  }
+  for (const sensor::Reading& r : view.active) add(r);
   if (full_first < full_last && !use_tiers) {
     out.source = "rollup:" + util::format_duration(config_.cold_resolution);
   }
@@ -498,7 +487,7 @@ SensorSeries::Retention SensorSeries::retention_of(const ReadView& view) const {
 
 SensorSeries::Retention SensorSeries::retention() const {
   std::unique_lock<std::mutex> lock(hot_mu_);
-  const ReadView view = read_view_locked();
+  const ReadView view = read_view_locked(0, 0);
   lock.unlock();
   return retention_of(view);
 }

@@ -236,17 +236,20 @@ class SensorSeries {
   };
 
   /// What a deep reader walks after releasing the lock: the chain snapshot
-  /// plus a copy of the (bounded) active block.
+  /// plus a copy of the active block's readings inside the query window.
   struct ReadView {
     std::shared_ptr<const Chain> chain;
-    std::vector<sensor::Reading> active;
-    util::SimTime last_ts = -1;
+    std::vector<sensor::Reading> active;  // [from, to) only, oldest first
+    util::SimTime active_first_ts = -1;   // whole active block; -1 if empty
   };
 
   /// Oldest individually-retrievable reading of the view; -1 when none.
   [[nodiscard]] static util::SimTime raw_from_of(const ReadView& view);
 
-  [[nodiscard]] ReadView read_view_locked() const;
+  /// Snapshot under hot_mu_, copying only the active readings in
+  /// [from, to); an empty window copies none.
+  [[nodiscard]] ReadView read_view_locked(util::SimTime from,
+                                          util::SimTime to) const;
   void seal_active_locked();
   /// Remove the oldest sealed block and its summary from `chain`; returns
   /// the sealed bytes freed.

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "obs/metrics.h"
+#include "util/bytes.h"
 #include "util/log.h"
 
 namespace sensorcer::registry {
@@ -106,46 +107,11 @@ namespace wirefmt {
 
 namespace {
 
-void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<std::uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  out.push_back(static_cast<std::uint8_t>(v));
-}
-
-bool get_varint(const std::uint8_t*& p, const std::uint8_t* end,
-                std::uint64_t& v) {
-  v = 0;
-  for (unsigned shift = 0; shift < 64; shift += 7) {
-    if (p == end) return false;
-    const std::uint8_t byte = *p++;
-    v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) return true;
-  }
-  return false;
-}
-
-std::uint64_t zigzag(std::int64_t n) {
-  return (static_cast<std::uint64_t>(n) << 1) ^
-         static_cast<std::uint64_t>(n >> 63);
-}
-
-std::int64_t unzigzag(std::uint64_t z) {
-  return static_cast<std::int64_t>(z >> 1) ^ -static_cast<std::int64_t>(z & 1);
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-bool get_u64(const std::uint8_t*& p, const std::uint8_t* end,
-             std::uint64_t& v) {
-  if (end - p < 8) return false;
-  v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(*p++) << (8 * i);
-  return true;
-}
+using util::bytes::put_u64;
+using util::bytes::put_varint;
+using util::bytes::Reader;
+using util::bytes::unzigzag;
+using util::bytes::zigzag;
 
 util::Status truncated() {
   return {util::ErrorCode::kInvalidArgument, "truncated renewAll payload"};
@@ -174,24 +140,22 @@ void encode_renew_request(const std::vector<RenewItem>& items,
 util::Status decode_renew_request(const std::uint8_t* data, std::size_t size,
                                   std::vector<RenewItem>& into) {
   into.clear();
-  const std::uint8_t* p = data;
-  const std::uint8_t* end = data + size;
+  Reader r{data, data + size};
   std::uint64_t count = 0;
-  if (!get_varint(p, end, count)) return truncated();
+  if (!r.varint(count)) return truncated();
   if (count > size / 16) {  // each id alone needs 16 bytes
     return {util::ErrorCode::kInvalidArgument, "renewAll count exceeds payload"};
   }
   into.resize(count);
   for (std::uint64_t i = 0; i < count; ++i) {
-    if (!get_u64(p, end, into[i].lease_id.hi) ||
-        !get_u64(p, end, into[i].lease_id.lo)) {
+    if (!r.u64(into[i].lease_id.hi) || !r.u64(into[i].lease_id.lo)) {
       return truncated();
     }
   }
   std::int64_t prev = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
     std::uint64_t z = 0;
-    if (!get_varint(p, end, z)) return truncated();
+    if (!r.varint(z)) return truncated();
     prev += unzigzag(z);
     into[i].extension = prev;
   }
@@ -211,16 +175,15 @@ void encode_renew_response(const std::vector<util::Uuid>& denied,
 util::Status decode_renew_response(const std::uint8_t* data, std::size_t size,
                                    std::vector<util::Uuid>& into) {
   into.clear();
-  const std::uint8_t* p = data;
-  const std::uint8_t* end = data + size;
+  Reader r{data, data + size};
   std::uint64_t count = 0;
-  if (!get_varint(p, end, count)) return truncated();
+  if (!r.varint(count)) return truncated();
   if (count > size / 16) {
     return {util::ErrorCode::kInvalidArgument, "denied count exceeds payload"};
   }
   into.resize(count);
   for (std::uint64_t i = 0; i < count; ++i) {
-    if (!get_u64(p, end, into[i].hi) || !get_u64(p, end, into[i].lo)) {
+    if (!r.u64(into[i].hi) || !r.u64(into[i].lo)) {
       return truncated();
     }
   }
@@ -318,16 +281,23 @@ util::Status RegistryFederation::renew_lease(const util::Uuid& lease_id,
     }
   }
   // Not a service lease — maybe an event-registration lease.
-  auto ev = lease_to_event_.find(lease_id);
-  if (ev == lease_to_event_.end()) {
+  if (!renew_event_lease(lease_id, now, extension)) {
     return {util::ErrorCode::kNotFound, "unknown or expired lease"};
   }
   charge_rpc(address_, 24, 8);
   lookup_metrics().renewals.add(1);
-  EventReg& reg = event_regs_.at(ev->second);
-  reg.lease.expiration = now + extension;
-  reg.lease.duration = extension;
   return util::Status::ok();
+}
+
+bool RegistryFederation::renew_event_lease(const util::Uuid& lease_id,
+                                           util::SimTime now,
+                                           util::SimDuration extension) {
+  auto ev = lease_to_event_.find(lease_id);
+  if (ev == lease_to_event_.end()) return false;
+  Lease& lease = event_regs_.at(ev->second).lease;
+  lease.expiration = now + extension;
+  lease.duration = extension;
+  return true;
 }
 
 RenewOutcome RegistryFederation::renew_events(
@@ -335,15 +305,11 @@ RenewOutcome RegistryFederation::renew_events(
   RenewOutcome outcome;
   const util::SimTime now = scheduler_.now();
   for (const RenewItem& item : items) {
-    auto ev = lease_to_event_.find(item.lease_id);
-    if (ev == lease_to_event_.end()) {
+    if (renew_event_lease(item.lease_id, now, item.extension)) {
+      ++outcome.renewed;
+    } else {
       outcome.denied.push_back(item.lease_id);
-      continue;
     }
-    EventReg& reg = event_regs_.at(ev->second);
-    reg.lease.expiration = now + item.extension;
-    reg.lease.duration = item.extension;
-    ++outcome.renewed;
   }
   return outcome;
 }
@@ -379,13 +345,7 @@ RenewOutcome RegistryFederation::renew_batch(
         }
       }
       if (!renewed) {
-        if (auto ev = lease_to_event_.find(item.lease_id);
-            ev != lease_to_event_.end()) {
-          EventReg& reg = event_regs_.at(ev->second);
-          reg.lease.expiration = now + item.extension;
-          reg.lease.duration = item.extension;
-          renewed = true;
-        }
+        renewed = renew_event_lease(item.lease_id, now, item.extension);
       }
       if (renewed) {
         ++outcome.renewed;

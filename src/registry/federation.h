@@ -67,11 +67,11 @@ struct RenewOutcome {
 };
 
 /// Flat binary wire format for the batched lease protocol, columnar in the
-/// style of the sorcer flat exertion codec (varint/zigzag columns; the
-/// registry cannot link sorcer, so the technique is shared rather than the
-/// code). A renewAll request is `varint count · count raw 16-byte lease ids ·
-/// count delta-zigzag-varint extensions` — a same-duration batch (the common
-/// case) costs ~17 bytes per lease after the first.
+/// style of the sorcer flat exertion codec and built on the same byte
+/// primitives (util/bytes.h). A renewAll request is `varint count · count
+/// raw 16-byte lease ids · count delta-zigzag-varint extensions` — a
+/// same-duration batch (the common case) costs ~17 bytes per lease after
+/// the first.
 namespace wirefmt {
 
 void encode_renew_request(const std::vector<RenewItem>& items,
@@ -211,6 +211,10 @@ class RegistryFederation : public ServiceProxy {
   void migrate_to_ring_homes();
   void refresh_balance_gauges() const;
   RenewOutcome renew_events(const std::vector<RenewItem>& items);
+  /// Extend an event-registration lease to now + extension; false when
+  /// `lease_id` names no event registration.
+  bool renew_event_lease(const util::Uuid& lease_id, util::SimTime now,
+                         util::SimDuration extension);
 
   std::string name_;
   util::Scheduler& scheduler_;

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <map>
 #include <utility>
 
 #include "obs/metrics.h"
+#include "util/bytes.h"
 #include "util/gorilla.h"
 
 namespace sensorcer::sorcer {
@@ -34,75 +34,20 @@ CodecMetrics& codec_metrics() {
   return m;
 }
 
-// --- primitive writers/readers ----------------------------------------------
+// --- primitive writers -------------------------------------------------------
 
-void put_varint(WireBuffer& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<std::uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  out.push_back(static_cast<std::uint8_t>(v));
-}
+using util::bytes::put_u64;
+using util::bytes::put_varint;
+using util::bytes::Reader;
+using util::bytes::unzigzag;
+using util::bytes::zigzag;
+using util::gorilla::bits_double;
+using util::gorilla::double_bits;
 
 void put_bytes(WireBuffer& out, const void* p, std::size_t n) {
   const auto* b = static_cast<const std::uint8_t*>(p);
   out.insert(out.end(), b, b + n);
 }
-
-void put_double(WireBuffer& out, double d) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &d, sizeof bits);
-  std::uint8_t raw[8];
-  for (int i = 0; i < 8; ++i) raw[i] = static_cast<std::uint8_t>(bits >> (8 * i));
-  put_bytes(out, raw, 8);
-}
-
-std::uint64_t zigzag(std::int64_t v) {
-  return (static_cast<std::uint64_t>(v) << 1) ^
-         static_cast<std::uint64_t>(v >> 63);
-}
-
-std::int64_t unzigzag(std::uint64_t v) {
-  return static_cast<std::int64_t>((v >> 1) ^ (~(v & 1) + 1));
-}
-
-struct Reader {
-  const std::uint8_t* p;
-  const std::uint8_t* end;
-
-  [[nodiscard]] bool need(std::size_t n) const {
-    return static_cast<std::size_t>(end - p) >= n;
-  }
-
-  bool varint(std::uint64_t& out) {
-    out = 0;
-    for (int shift = 0; shift < 64; shift += 7) {
-      if (p == end) return false;
-      const std::uint8_t b = *p++;
-      out |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-      if ((b & 0x80) == 0) return true;
-    }
-    return false;
-  }
-
-  bool read_double(double& out) {
-    if (!need(8)) return false;
-    std::uint64_t bits = 0;
-    for (int i = 0; i < 8; ++i) {
-      bits |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    }
-    p += 8;
-    std::memcpy(&out, &bits, sizeof out);
-    return true;
-  }
-
-  bool view(std::size_t n, std::string_view& out) {
-    if (!need(n)) return false;
-    out = std::string_view(reinterpret_cast<const char*>(p), n);
-    p += n;
-    return true;
-  }
-};
 
 util::Status truncated() {
   return {util::ErrorCode::kInvalidArgument, "truncated context encoding"};
@@ -167,10 +112,10 @@ bool put_xor_body(WireBuffer& out, const std::vector<double>& v,
                   std::size_t body_at, std::size_t limit) {
   util::gorilla::BitWriter w(out);
   util::gorilla::XorState state;
-  state.prev_bits = util::gorilla::double_bits(v[0]);
+  state.prev_bits = double_bits(v[0]);
   w.put(state.prev_bits, 64);
   for (std::size_t i = 1; i < v.size(); ++i) {
-    util::gorilla::put_xor(w, state, util::gorilla::double_bits(v[i]));
+    util::gorilla::put_xor(w, state, double_bits(v[i]));
     if (out.size() - body_at >= limit) return false;
   }
   w.flush();
@@ -191,23 +136,18 @@ void put_series(WireBuffer& out, const std::vector<double>& v) {
       out[mode_at] = ints ? kSeriesDod : kSeriesXor;
     } else {
       out.resize(body_at);
-      for (double d : v) put_double(out, d);
+      for (double d : v) put_u64(out, double_bits(d));
     }
   }
   codec_metrics().series_raw_bytes.add(raw_bytes);
   codec_metrics().series_wire_bytes.add(out.size() - mode_at);
 }
 
-/// Decode a series column into `v`, reusing its capacity. `packed_series`
-/// must match the encoder's (see encode_value).
-bool get_series(Reader& r, bool packed_series, std::vector<double>& v) {
+/// Decode a series column into `v`, reusing its capacity.
+bool get_series(Reader& r, std::vector<double>& v) {
   std::uint64_t n = 0;
-  if (!r.varint(n)) return false;
-  std::uint8_t mode = kSeriesRaw;
-  if (packed_series) {
-    if (!r.need(1)) return false;
-    mode = *r.p++;
-  }
+  if (!r.varint(n) || !r.need(1)) return false;
+  const std::uint8_t mode = *r.p++;
   // Reject a count the body cannot hold before reserving anything: raw
   // needs 8 bytes per element; dod at least one varint byte then one bit per
   // later element; XOR 64 bits then one bit per later element.
@@ -230,9 +170,9 @@ bool get_series(Reader& r, bool packed_series, std::vector<double>& v) {
   if (n == 0) return true;
   if (mode == kSeriesRaw) {
     for (std::uint64_t i = 0; i < n; ++i) {
-      double d = 0;
-      (void)r.read_double(d);
-      v.push_back(d);
+      std::uint64_t bits = 0;
+      (void)r.u64(bits);
+      v.push_back(bits_double(bits));
     }
     return true;
   }
@@ -260,40 +200,29 @@ bool get_series(Reader& r, bool packed_series, std::vector<double>& v) {
   util::gorilla::BitReader bits(r.p, static_cast<std::size_t>(r.end - r.p));
   util::gorilla::XorState state;
   if (!bits.get(64, state.prev_bits)) return false;
-  v.push_back(util::gorilla::bits_double(state.prev_bits));
+  v.push_back(bits_double(state.prev_bits));
   for (std::uint64_t i = 1; i < n; ++i) {
     if (!util::gorilla::get_xor(bits, state)) return false;
-    v.push_back(util::gorilla::bits_double(state.prev_bits));
+    v.push_back(bits_double(state.prev_bits));
   }
   r.p += bits.bytes_used();
   return true;
 }
 
-/// `packed_series` selects the flat codec's series column; the legacy
-/// envelope keeps raw `varint n + 8n` series.
-void encode_value(WireBuffer& out, const ContextValue& value,
-                  bool packed_series) {
+void encode_value(WireBuffer& out, const ContextValue& value) {
   struct Visitor {
     WireBuffer& out;
-    bool packed_series;
     void operator()(std::monostate) const {}
-    void operator()(double d) const { put_double(out, d); }
+    void operator()(double d) const { put_u64(out, double_bits(d)); }
     void operator()(std::int64_t i) const { put_varint(out, zigzag(i)); }
     void operator()(bool b) const { out.push_back(b ? 1 : 0); }
     void operator()(const std::string& s) const {
       put_varint(out, s.size());
       put_bytes(out, s.data(), s.size());
     }
-    void operator()(const std::vector<double>& v) const {
-      if (packed_series) {
-        put_series(out, v);
-        return;
-      }
-      put_varint(out, v.size());
-      for (double d : v) put_double(out, d);
-    }
+    void operator()(const std::vector<double>& v) const { put_series(out, v); }
   };
-  std::visit(Visitor{out, packed_series}, value);
+  std::visit(Visitor{out}, value);
 }
 
 std::uint8_t tag_of(const ContextValue& value) {
@@ -302,17 +231,15 @@ std::uint8_t tag_of(const ContextValue& value) {
 
 /// Decode one value of `tag` into `slot`, reusing the slot's existing
 /// alternative (string / series capacity) when the type matches.
-/// `packed_series` must match the encoder's (see encode_value).
-bool decode_value(Reader& r, std::uint8_t tag, ContextValue& slot,
-                  bool packed_series) {
+bool decode_value(Reader& r, std::uint8_t tag, ContextValue& slot) {
   switch (tag) {
     case kTagNone:
       slot = std::monostate{};
       return true;
     case kTagDouble: {
-      double d = 0;
-      if (!r.read_double(d)) return false;
-      slot = d;
+      std::uint64_t bits = 0;
+      if (!r.u64(bits)) return false;
+      slot = bits_double(bits);
       return true;
     }
     case kTagInt: {
@@ -344,7 +271,7 @@ bool decode_value(Reader& r, std::uint8_t tag, ContextValue& slot,
         slot = std::vector<double>{};
         v = std::get_if<std::vector<double>>(&slot);
       }
-      return get_series(r, packed_series, *v);
+      return get_series(r, *v);
     }
     default:
       return false;
@@ -461,7 +388,7 @@ void encode_context(const ServiceContext& ctx, PathInternTable& interner,
     }
     out.push_back(static_cast<std::uint8_t>(
         tag_of(e.value) | (static_cast<std::uint8_t>(e.direction) << 4)));
-    encode_value(out, e.value, /*packed_series=*/true);
+    encode_value(out, e.value);
   }
 }
 
@@ -507,65 +434,9 @@ util::Status decode_context(const std::uint8_t* data, std::size_t size,
     const std::uint8_t tag = meta & 0x0f;
     const auto dir = static_cast<PathDirection>((meta >> 4) & 0x03);
     ContextValue& slot = into.reload_slot(path, dir);
-    if (!decode_value(r, tag, slot, /*packed_series=*/true)) {
+    if (!decode_value(r, tag, slot)) {
       return truncated();
     }
-  }
-  into.reload_end();
-  return util::Status::ok();
-}
-
-// --- legacy codec ------------------------------------------------------------
-
-void encode_context_legacy(const ServiceContext& ctx, WireBuffer& out) {
-  out.clear();
-  put_varint(out, ctx.name().size());
-  put_bytes(out, ctx.name().data(), ctx.name().size());
-  put_varint(out, ctx.size());
-  for (std::size_t i = 0; i < ctx.size(); ++i) {
-    const ServiceContext::EntryView e = ctx.entry_at(i);
-    put_varint(out, e.path.size());
-    put_bytes(out, e.path.data(), e.path.size());
-    out.push_back(static_cast<std::uint8_t>(
-        tag_of(e.value) | (static_cast<std::uint8_t>(e.direction) << 4)));
-    encode_value(out, e.value, /*packed_series=*/false);
-  }
-}
-
-util::Status decode_context_legacy(const std::uint8_t* data, std::size_t size,
-                                   ServiceContext& into) {
-  Reader r{data, data + size};
-  std::uint64_t name_len = 0;
-  std::string_view name;
-  if (!r.varint(name_len) || !r.view(name_len, name)) return truncated();
-  std::uint64_t count = 0;
-  if (!r.varint(count)) return truncated();
-
-  // Reproduce the replaced design faithfully: a node-per-entry ordered map
-  // built up per decode, then drained into the context. This is what every
-  // wire hop paid before the flat codec.
-  struct Slot {
-    ContextValue value;
-    PathDirection direction;
-  };
-  std::map<std::string, Slot> staged;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint64_t len = 0;
-    std::string_view path;
-    if (!r.varint(len) || !r.view(len, path)) return truncated();
-    if (!r.need(1)) return truncated();
-    const std::uint8_t meta = *r.p++;
-    const std::uint8_t tag = meta & 0x0f;
-    const auto dir = static_cast<PathDirection>((meta >> 4) & 0x03);
-    Slot& slot = staged[std::string(path)];
-    slot.direction = dir;
-    if (!decode_value(r, tag, slot.value, /*packed_series=*/false)) {
-      return truncated();
-    }
-  }
-  into.reload_begin(name);
-  for (auto& [path, slot] : staged) {
-    into.reload_slot(path, slot.direction) = std::move(slot.value);
   }
   into.reload_end();
   return util::Status::ok();

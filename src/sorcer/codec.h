@@ -3,11 +3,11 @@
 // paths, arena-backed intern storage and recycled payload buffers.
 //
 // Every S2S call goes through sorcer/invoke, which makes the exertion
-// envelope the system-wide constant factor. The legacy envelope (the size
-// ServiceContext::wire_bytes() models) re-encodes every slash-separated path
-// as a full string on every hop and rebuilds a node-per-entry map on every
-// decode. The flat codec
-// replaces that with small parallel records:
+// envelope the system-wide constant factor. The legacy string envelope it
+// replaced re-encoded every slash-separated path as a full string on every
+// hop and rebuilt a node-per-entry map on every decode; that baseline now
+// lives in bench/legacy_codec.h for bench_exertion's PERF-5 table and the
+// codec equivalence tests. The flat codec is small parallel records:
 //
 //   [varint name_len][name bytes]
 //   [varint entry_count]
@@ -23,6 +23,7 @@
 //               delta-of-delta integers (exact integers within +-2^53),
 //               Gorilla XOR floats, or 8n raw LE bytes whenever packing
 //               would not be smaller (util/gorilla.h; grammar in codec.cpp)
+//   (varints, zigzag and LE words: util/bytes.h)
 //
 // Path interning is per directed endpoint pair (PathInternTable): the
 // encoder assigns dense ids and emits the literal inline exactly once; the
@@ -133,15 +134,6 @@ void encode_context(const ServiceContext& ctx, PathInternTable& interner,
                     WireBuffer& out);
 util::Status decode_context(const std::uint8_t* data, std::size_t size,
                             PathInternTable& interner, ServiceContext& into);
-
-/// The legacy string envelope (what PR 3 modeled with wire_bytes() + a
-/// 64-byte envelope): full path strings on every entry, raw 8-byte series
-/// elements, and a decode that rebuilds a node-per-entry std::map exactly
-/// like the pre-flat ServiceContext did. Kept as the frozen equivalence
-/// baseline for tests and the bench_exertion marshalling micro-table.
-void encode_context_legacy(const ServiceContext& ctx, WireBuffer& out);
-util::Status decode_context_legacy(const std::uint8_t* data, std::size_t size,
-                                   ServiceContext& into);
 
 /// Thread-safe recycling pool for wire payload buffers. acquire() hands out
 /// a cleared buffer whose capacity survives round trips: the handle's

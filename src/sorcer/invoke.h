@@ -63,10 +63,6 @@ inline constexpr const char* kPongTopic = "invoke.pong";
 
 inline constexpr std::size_t kPingBytes = 16;
 
-/// The legacy string envelope's fixed fields (call id + reply address +
-/// signature), charged with encode_context_legacy() by the PERF-5 baseline.
-inline constexpr std::size_t kRequestEnvelopeBytes = 64;
-
 /// Envelope sizes for the flat binary codec (sorcer/codec.h): varint call
 /// id + 16-byte reply uuid + interned signature id on the request, varint
 /// call id + status code on the response.

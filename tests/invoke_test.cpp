@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/legacy_codec.h"
 #include "core/deployment.h"
 #include "obs/metrics.h"
 #include "sorcer/codec.h"
@@ -568,10 +569,10 @@ TEST(CodecTest, EmptyContextRoundTrips) {
 TEST(CodecTest, LegacyRoundTripMatchesFlat) {
   const sorcer::ServiceContext original = codec_sample_context();
   sorcer::WireBuffer legacy_buf;
-  sorcer::encode_context_legacy(original, legacy_buf);
+  bench::encode_context_legacy(original, legacy_buf);
   sorcer::ServiceContext via_legacy;
-  ASSERT_TRUE(sorcer::decode_context_legacy(legacy_buf.data(),
-                                            legacy_buf.size(), via_legacy)
+  ASSERT_TRUE(bench::decode_context_legacy(legacy_buf.data(),
+                                           legacy_buf.size(), via_legacy)
                   .is_ok());
   expect_context_eq(original, via_legacy);
 
@@ -852,11 +853,11 @@ TEST(CodecTest, SeriesLegacyEnvelopeStaysRaw) {
   sorcer::ServiceContext ctx;
   ctx.put("s", one_hz_timestamps(64));
   sorcer::WireBuffer legacy;
-  sorcer::encode_context_legacy(ctx, legacy);
+  bench::encode_context_legacy(ctx, legacy);
   EXPECT_GE(legacy.size(), 8u * 64);
   sorcer::ServiceContext decoded;
-  ASSERT_TRUE(sorcer::decode_context_legacy(legacy.data(), legacy.size(),
-                                            decoded)
+  ASSERT_TRUE(bench::decode_context_legacy(legacy.data(), legacy.size(),
+                                           decoded)
                   .is_ok());
   EXPECT_EQ(*decoded.peek_series("s"), one_hz_timestamps(64));
 }
@@ -988,9 +989,10 @@ TEST(CodecTest, WirePathWarmsInternTablesAcrossCalls) {
 
   // Steady-state calls ship interned ids only — no larger than the warmed
   // second call, and both strictly smaller than a cold legacy envelope.
+  sorcer::WireBuffer legacy;
+  bench::encode_context_legacy(first->context(), legacy);
   EXPECT_LE(steady_sent, warm_sent);
-  EXPECT_LT(steady_sent,
-            first->context().wire_bytes() + sorcer::wire::kRequestEnvelopeBytes);
+  EXPECT_LT(steady_sent, legacy.size() + bench::kRequestEnvelopeBytes);
 }
 
 TEST(CodecTest, BufferPoolRecyclesAcrossRoundTrips) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "registry/discovery.h"
 #include "registry/event_mailbox.h"
 #include "registry/lease_renewal.h"
@@ -963,7 +964,7 @@ TEST_F(FederationTest, ExpiryIndexReArmsRenewedLeases) {
 TEST(BatchedRenewal, DeniedLeaseLapsesBatchSurvives) {
   util::Scheduler sched;
   auto lus = std::make_shared<LookupService>("lus", sched);
-  LeaseRenewalManager lrm{sched, LeaseBatchConfig{true, 100 * kMillisecond}};
+  LeaseRenewalManager lrm{sched, LeaseBatchConfig{100 * kMillisecond}};
 
   auto a = lus->register_service(make_item("a"), 2 * kSecond);
   auto b = lus->register_service(make_item("b"), 2 * kSecond);
@@ -990,7 +991,7 @@ TEST(BatchedRenewal, StormSendsOneMessagePerShardPerWindow) {
   const std::size_t kShards = 4;
   auto lus = std::make_shared<LookupService>(
       "lus", sched, nullptr, 100 * kMillisecond, kShards);
-  LeaseRenewalManager lrm{sched, LeaseBatchConfig{true, 100 * kMillisecond}};
+  LeaseRenewalManager lrm{sched, LeaseBatchConfig{100 * kMillisecond}};
 
   // 10k leases granted at t=0 with the same duration: every renewal falls
   // due in the same window, so each round must collapse to one renewAll
@@ -1016,19 +1017,56 @@ TEST(BatchedRenewal, StormSendsOneMessagePerShardPerWindow) {
   EXPECT_EQ(lus->expired_count(), 0u);
 }
 
-TEST(BatchedRenewal, DisabledBatchingFallsBackToIndividualTimers) {
+TEST(BatchedRenewal, LeaseShorterThanTwoWindowsRenewsAndNeverLapses) {
   util::Scheduler sched;
   auto lus = std::make_shared<LookupService>("lus", sched);
-  LeaseRenewalManager lrm{sched, LeaseBatchConfig{false}};
-  std::vector<ServiceRegistration> regs;
-  for (int i = 0; i < 8; ++i) {
-    regs.push_back(
-        lus->register_service(make_item("s" + std::to_string(i)), 2 * kSecond));
-    lrm.manage(regs.back().lease, lus, 2 * kSecond);
-  }
-  sched.run_for(30 * kSecond);
-  for (const auto& reg : regs) EXPECT_TRUE(lus->contains(reg.service_id));
-  EXPECT_EQ(lrm.batches_sent(), 0u);  // legacy per-lease path
+  LeaseRenewalManager lrm{sched, LeaseBatchConfig{100 * kMillisecond}};
+  obs::Counter& renewals = obs::metrics().counter("registry.renewals");
+  const std::uint64_t before = renewals.value();
+
+  // A 150 ms lease falls due 75 ms out, before the end of the current
+  // 100 ms window, so the renewal cannot snap back to a window start and
+  // fires at its own half-life instead.
+  const util::SimDuration lease = 150 * kMillisecond;
+  auto reg = lus->register_service(make_item("short"), lease);
+  lrm.manage(reg.lease, lus, lease);
+  // Armed at the half-life (ahead of the LUS's 100 ms sweep), not at the
+  // already-passed window start, which would renew in a loop at t = 0.
+  ASSERT_EQ(sched.next_event_time(), lease / 2);
+  sched.run_for(10 * kSecond);
+
+  EXPECT_TRUE(lus->contains(reg.service_id));
+  EXPECT_EQ(lus->expired_count(), 0u);
+  EXPECT_EQ(lrm.failed_renewals(), 0u);
+  EXPECT_EQ(lrm.managed_count(), 1u);
+  // Every renewal lands at or before the half-life: at least one per 75 ms.
+  EXPECT_GE(renewals.value() - before,
+            static_cast<std::uint64_t>(10 * kSecond / (lease / 2)));
+}
+
+TEST(BatchedRenewal, RemanagedLeaseRenewsOncePerWindow) {
+  util::Scheduler sched;
+  auto lus = std::make_shared<LookupService>("lus", sched);
+  LeaseRenewalManager lrm{sched, LeaseBatchConfig{100 * kMillisecond}};
+  obs::Counter& renewals = obs::metrics().counter("registry.renewals");
+  const std::uint64_t before = renewals.value();
+
+  // Managing the lease twice inside one window leaves its id in that
+  // window's batch twice; the batch must still renew it once.
+  auto reg = lus->register_service(make_item("twice"), 2 * kSecond);
+  lrm.manage(reg.lease, lus, 2 * kSecond);
+  sched.run_for(10 * kMillisecond);
+  lrm.manage(reg.lease, lus, 2 * kSecond);
+  EXPECT_EQ(lrm.managed_count(), 1u);
+
+  sched.run_for(1040 * kMillisecond);  // past the 1 s window
+  EXPECT_EQ(renewals.value() - before, 1u);
+  EXPECT_EQ(lrm.batches_sent(), 1u);
+
+  sched.run_for(1 * kSecond);  // the next window: one more renewal
+  EXPECT_EQ(renewals.value() - before, 2u);
+  EXPECT_EQ(lrm.batches_sent(), 2u);
+  EXPECT_TRUE(lus->contains(reg.service_id));
   EXPECT_EQ(lrm.failed_renewals(), 0u);
 }
 

@@ -85,39 +85,6 @@ TEST(Context, MergeOtherWins) {
   EXPECT_DOUBLE_EQ(a.get_double("z").value(), 30.0);
 }
 
-TEST(Context, WireBytesGrowWithContent) {
-  ServiceContext ctx;
-  const std::size_t empty = ctx.wire_bytes();
-  ctx.put("sensor/log", std::vector<double>(100, 1.0));
-  EXPECT_GE(ctx.wire_bytes(), empty + 800);
-}
-
-TEST(Context, WireBytesCacheInvalidatedByEveryMutation) {
-  // wire_bytes() is cached behind a dirty flag; put / remove / merge must
-  // each invalidate it or traffic accounting silently goes stale.
-  ServiceContext ctx;
-  ctx.put("a", 1.0);
-  const std::size_t with_a = ctx.wire_bytes();
-  EXPECT_EQ(ctx.wire_bytes(), with_a);  // repeated reads: cached, stable
-
-  ctx.put("b", std::vector<double>(10, 0.0));
-  const std::size_t with_ab = ctx.wire_bytes();
-  EXPECT_GT(with_ab, with_a);
-
-  // Overwriting an existing path with a differently-sized value must also
-  // invalidate (same path, new size).
-  ctx.put("b", std::vector<double>(20, 0.0));
-  EXPECT_GT(ctx.wire_bytes(), with_ab);
-
-  EXPECT_TRUE(ctx.remove("b"));
-  EXPECT_EQ(ctx.wire_bytes(), with_a);
-
-  ServiceContext other;
-  other.put("c", std::string("hello"));
-  ctx.merge(other);
-  EXPECT_GT(ctx.wire_bytes(), with_a);
-}
-
 TEST(Context, FindAndPeekAccessors) {
   ServiceContext ctx;
   ctx.put("s", std::string("text"));

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <set>
+#include <vector>
 
+#include "util/bytes.h"
 #include "util/ids.h"
 #include "util/log.h"
 #include "util/rng.h"
@@ -387,6 +390,76 @@ TEST(Rng, ExponentialMeanIsClose) {
   for (int i = 0; i < 50000; ++i) acc.add(rng.exponential(4.0));
   EXPECT_NEAR(acc.mean(), 4.0, 0.1);
   EXPECT_GE(acc.min(), 0.0);
+}
+
+// --- Wire byte primitives ------------------------------------------------
+
+TEST(Bytes, ZigzagVarintAndU64RoundTripAtTheExtremes) {
+  using namespace bytes;
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::uint64_t kAllOnes = ~std::uint64_t{0};
+  EXPECT_EQ(zigzag(0), 0u);
+  EXPECT_EQ(zigzag(-1), 1u);
+  EXPECT_EQ(zigzag(1), 2u);
+  EXPECT_EQ(zigzag(kMax), kAllOnes - 1);
+  EXPECT_EQ(zigzag(kMin), kAllOnes);
+  for (std::int64_t v : {kMin, kMin + 1, std::int64_t{-1}, std::int64_t{0},
+                         std::int64_t{1}, kMax - 1, kMax}) {
+    EXPECT_EQ(unzigzag(zigzag(v)), v);
+  }
+
+  // zigzag(INT64_MIN) is all ones: the longest varint, ten bytes whose last
+  // carries bit 63 alone.
+  std::vector<std::uint8_t> buf;
+  put_varint(buf, zigzag(kMin));
+  ASSERT_EQ(buf.size(), 10u);
+  EXPECT_EQ(buf.back(), 0x01);
+  Reader r{buf.data(), buf.data() + buf.size()};
+  std::uint64_t v = 0;
+  ASSERT_TRUE(r.varint(v));
+  EXPECT_EQ(unzigzag(v), kMin);
+  EXPECT_EQ(r.p, r.end);
+
+  buf.clear();
+  put_u64(buf, 0x0123456789abcdefull);
+  ASSERT_EQ(buf.size(), 8u);
+  EXPECT_EQ(buf.front(), 0xef);  // least significant byte first
+  EXPECT_EQ(load_u64(buf.data()), 0x0123456789abcdefull);
+  Reader w{buf.data(), buf.data() + buf.size()};
+  ASSERT_TRUE(w.u64(v));
+  EXPECT_EQ(v, 0x0123456789abcdefull);
+  EXPECT_EQ(w.p, w.end);
+}
+
+TEST(Bytes, OverlongAndTruncatedInputsAreRejected) {
+  using namespace bytes;
+  std::uint64_t v = 0;
+  // A tenth byte above 1 carries bits past 64.
+  std::vector<std::uint8_t> wide(9, 0xff);
+  wide.push_back(0x02);
+  Reader r1{wide.data(), wide.data() + wide.size()};
+  EXPECT_FALSE(r1.varint(v));
+  // Eleven bytes: the tenth still says "more".
+  std::vector<std::uint8_t> eleven(10, 0x80);
+  eleven.push_back(0x00);
+  Reader r2{eleven.data(), eleven.data() + eleven.size()};
+  EXPECT_FALSE(r2.varint(v));
+
+  // Every cut of a full-width varint and of a u64 is truncated.
+  std::vector<std::uint8_t> varint;
+  put_varint(varint, ~std::uint64_t{0});
+  for (std::size_t cut = 0; cut < varint.size(); ++cut) {
+    Reader r{varint.data(), varint.data() + cut};
+    EXPECT_FALSE(r.varint(v)) << "varint cut " << cut;
+  }
+  std::vector<std::uint8_t> word;
+  put_u64(word, 42);
+  for (std::size_t cut = 0; cut < word.size(); ++cut) {
+    Reader r{word.data(), word.data() + cut};
+    EXPECT_FALSE(r.u64(v)) << "u64 cut " << cut;
+    EXPECT_EQ(r.p, word.data());  // a failed read does not advance
+  }
 }
 
 }  // namespace
