@@ -44,7 +44,9 @@ int main() {
       config.cybernode_capability = {16.0, 16384.0, "x86_64", {}};
       core::Deployment lab(config);
 
-      rio::QosRequirement qos{0.25, 64.0};
+      rio::QosRequirement qos;
+      qos.compute_units = 0.25;
+      qos.memory_mb = 64.0;
       std::size_t placed = 0;
       for (std::size_t i = 0; i < services; ++i) {
         if (lab.provisioner()

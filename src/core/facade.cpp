@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "hist/historian.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sorcer/exert.h"
@@ -188,51 +189,42 @@ util::Result<hist::SeriesResult> SensorcerFacade::query_range(
 util::Result<hist::SeriesResult> SensorcerFacade::query_downsample(
     const std::string& sensor, util::SimTime from, util::SimTime to,
     std::size_t points) {
-  auto done = exert_hist_query(accessor_, op::kHistDownsample, sensor, from,
-                               to, static_cast<std::int64_t>(points),
-                               path::kHistPoints);
-  if (!done.is_ok()) return done.status();
-  return parse_series(done.value()->context());
+  return std::move(query_downsample_many({sensor}, from, to, points).front());
 }
 
 std::vector<util::Result<hist::SeriesResult>>
 SensorcerFacade::query_downsample_many(const std::vector<std::string>& sensors,
                                        util::SimTime from, util::SimTime to,
                                        std::size_t points) {
+  if (sensors.empty()) return {};
   facade_requests().add(1);
   obs::Span span = obs::tracer().start_span(
-      util::format("facade.histDownsampleMany[%zu]", sensors.size()));
+      util::format("facade.histDownsample[%zu]", sensors.size()));
   obs::ContextGuard guard(span.context());
-  std::vector<sorcer::ExertionPtr> batch;
-  batch.reserve(sensors.size());
-  for (const std::string& sensor : sensors) {
-    auto task = sorcer::Task::make(
-        "facade.hist:" + sensor,
-        sorcer::Signature{kDataCollectionType, op::kHistDownsample, ""});
-    sorcer::ServiceContext& ctx = task->context();
-    ctx.put(path::kHistSensor, sensor, sorcer::PathDirection::kIn);
-    ctx.put(path::kHistFrom, static_cast<std::int64_t>(from),
+  auto task = sorcer::Task::make(
+      "facade.hist:downsample",
+      sorcer::Signature{kDataCollectionType, op::kHistDownsample, ""});
+  sorcer::ServiceContext& ctx = task->context();
+  for (std::size_t i = 0; i < sensors.size(); ++i) {
+    ctx.put(path::indexed(path::kHistSensors, i), sensors[i],
             sorcer::PathDirection::kIn);
-    ctx.put(path::kHistTo, static_cast<std::int64_t>(to),
-            sorcer::PathDirection::kIn);
-    ctx.put(path::kHistPoints, static_cast<std::int64_t>(points),
-            sorcer::PathDirection::kIn);
-    batch.push_back(std::move(task));
   }
-  (void)sorcer::exert_all(batch, accessor_);
-  std::vector<util::Result<hist::SeriesResult>> out;
-  out.reserve(batch.size());
-  bool all_ok = true;
-  for (const auto& task : batch) {
-    if (task->status() != sorcer::ExertStatus::kDone) {
-      out.emplace_back(task->error());
-      all_ok = false;
-      continue;
-    }
-    out.emplace_back(parse_series(task->context()));
+  ctx.put(path::kHistFrom, static_cast<std::int64_t>(from),
+          sorcer::PathDirection::kIn);
+  ctx.put(path::kHistTo, static_cast<std::int64_t>(to),
+          sorcer::PathDirection::kIn);
+  ctx.put(path::kHistPoints, static_cast<std::int64_t>(points),
+          sorcer::PathDirection::kIn);
+  (void)sorcer::exert(task, accessor_);
+  if (task->status() != sorcer::ExertStatus::kDone) {
+    span.set_ok(false);
+    return std::vector<util::Result<hist::SeriesResult>>(sensors.size(),
+                                                         task->error());
   }
-  span.set_ok(all_ok);
-  return out;
+  auto page = hist::parse_series_page(task->context(), sensors.size());
+  span.set_ok(std::all_of(page.begin(), page.end(),
+                          [](const auto& series) { return series.is_ok(); }));
+  return page;
 }
 
 util::Status SensorcerFacade::compose_service(

@@ -75,15 +75,18 @@ class SensorcerFacade : public sorcer::ServiceProvider {
                                                util::SimTime to,
                                                std::size_t max_points = 1024);
 
-  /// At most `points` downsampled (bucket-start, mean) pairs over [from, to).
+  /// At most `points` downsampled (bucket-start, mean) pairs over [from, to):
+  /// the one-sensor page of query_downsample_many.
   util::Result<hist::SeriesResult> query_downsample(const std::string& sensor,
                                                     util::SimTime from,
                                                     util::SimTime to,
                                                     std::size_t points = 64);
 
-  /// Dashboard fan-out: one downsample query per sensor, exerted as a
-  /// scatter-gather batch (overlapped wire round-trips, like get_values)
-  /// and served by the historian's read executor. Results are positional.
+  /// A dashboard page: every sensor's downsample in one histDownsample
+  /// exertion, so the page costs one request and one response on the
+  /// fabric. The historian scans the series in parallel on its read
+  /// executor. Results are positional; an unknown sensor answers an empty
+  /// series, and an empty list makes no call.
   std::vector<util::Result<hist::SeriesResult>> query_downsample_many(
       const std::vector<std::string>& sensors, util::SimTime from,
       util::SimTime to, std::size_t points = 64);

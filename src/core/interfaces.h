@@ -93,6 +93,18 @@ inline constexpr const char* kHistSource = "hist/source";
 inline constexpr const char* kHistFromEffective = "hist/from_effective";
 inline constexpr const char* kHistToEffective = "hist/to_effective";
 inline constexpr const char* kHistTruncated = "hist/truncated";
+// histDownsample answers a list of sensors in one call: the request names
+// sensor i at "hist/sensors/<i>", the reply concatenates every series into
+// the timestamps/values columns, "hist/counts" holds each series' length and
+// "hist/sources/<i>" its source. Indexed paths carry names of any content.
+inline constexpr const char* kHistSensors = "hist/sensors/";
+inline constexpr const char* kHistSources = "hist/sources/";
+inline constexpr const char* kHistCounts = "hist/counts";
+
+/// "<prefix><i>": the i-th element of an indexed path list.
+inline std::string indexed(const char* prefix, std::size_t i) {
+  return prefix + std::to_string(i);
+}
 }  // namespace path
 
 /// Operation selectors.

@@ -1,6 +1,7 @@
 #include "hist/historian.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <utility>
 
@@ -51,6 +52,86 @@ void put_points(sorcer::ServiceContext& ctx, const SeriesResult& result) {
 }
 
 }  // namespace
+
+void put_series_page(sorcer::ServiceContext& ctx,
+                     const std::vector<SeriesResult>& page) {
+  std::size_t total = 0;
+  for (const SeriesResult& series : page) total += series.points.size();
+  std::vector<double> timestamps;
+  std::vector<double> values;
+  std::vector<double> counts;
+  timestamps.reserve(total);
+  values.reserve(total);
+  counts.reserve(page.size());
+  for (std::size_t i = 0; i < page.size(); ++i) {
+    for (const Point& p : page[i].points) {
+      timestamps.push_back(static_cast<double>(p.timestamp));
+      values.push_back(p.value);
+    }
+    counts.push_back(static_cast<double>(page[i].points.size()));
+    ctx.put(core::path::indexed(core::path::kHistSources, i), page[i].source,
+            sorcer::PathDirection::kOut);
+  }
+  ctx.put(core::path::kHistTimestamps, std::move(timestamps),
+          sorcer::PathDirection::kOut);
+  ctx.put(core::path::kHistValues, std::move(values),
+          sorcer::PathDirection::kOut);
+  ctx.put(core::path::kHistCounts, std::move(counts),
+          sorcer::PathDirection::kOut);
+}
+
+std::vector<util::Result<SeriesResult>> parse_series_page(
+    const sorcer::ServiceContext& ctx, std::size_t n) {
+  const auto malformed = [n](const char* why) {
+    return std::vector<util::Result<SeriesResult>>(
+        n, util::Status{util::ErrorCode::kInternal,
+                        std::string("histDownsample reply: ") + why});
+  };
+  // Borrowed in place; `ctx` is not mutated while the borrows live.
+  const auto* timestamps = ctx.peek_series(core::path::kHistTimestamps);
+  const auto* values = ctx.peek_series(core::path::kHistValues);
+  const auto* counts = ctx.peek_series(core::path::kHistCounts);
+  if (timestamps == nullptr || values == nullptr || counts == nullptr) {
+    return malformed("missing a column");
+  }
+  if (timestamps->size() != values->size()) {
+    return malformed("timestamps/values length mismatch");
+  }
+  if (counts->size() != n) return malformed("one count per series expected");
+  std::size_t total = 0;
+  for (const double count : *counts) {
+    // Written so NaN fails too; the bound keeps the sum inside the columns.
+    if (!(count >= 0.0) || count != std::floor(count) ||
+        count > static_cast<double>(timestamps->size() - total)) {
+      return malformed("counts do not split the columns");
+    }
+    total += static_cast<std::size_t>(count);
+  }
+  if (total != timestamps->size()) {
+    return malformed("counts do not split the columns");
+  }
+  std::vector<util::Result<SeriesResult>> out;
+  out.reserve(n);
+  std::size_t at = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    SeriesResult series;
+    const auto count = static_cast<std::size_t>((*counts)[i]);
+    series.points.reserve(count);
+    for (const std::size_t end = at + count; at < end; ++at) {
+      const double ts = (*timestamps)[at];
+      // Only a double inside int64 range converts to a SimTime (NaN fails).
+      if (!(std::fabs(ts) < 0x1p63)) {
+        return malformed("timestamp out of range");
+      }
+      series.points.push_back({static_cast<util::SimTime>(ts), (*values)[at]});
+    }
+    series.source =
+        ctx.peek_string(core::path::indexed(core::path::kHistSources, i))
+            .value_or("");
+    out.emplace_back(std::move(series));
+  }
+  return out;
+}
 
 Historian::Historian(std::string name, HistorianConfig config,
                      HistorianCosts costs)
@@ -214,8 +295,20 @@ void Historian::install_operations() {
       core::op::kHistDownsample,
       [this](sorcer::ServiceContext& ctx) -> util::Status {
         pending_extra_ = 0;
-        auto sensor_name = ctx.get_string(core::path::kHistSensor);
-        if (!sensor_name.is_ok()) return sensor_name.status();
+        // Results are positional, so the list does not ride back.
+        std::vector<std::string> sensors;
+        for (;;) {
+          const std::string at =
+              core::path::indexed(core::path::kHistSensors, sensors.size());
+          const auto name = ctx.peek_string(at);
+          if (!name) break;
+          sensors.emplace_back(*name);
+          ctx.remove(at);
+        }
+        if (sensors.empty()) {
+          return {util::ErrorCode::kInvalidArgument,
+                  "histDownsample: no sensors listed"};
+        }
         auto from = get_time(ctx, core::path::kHistFrom);
         if (!from.is_ok()) return from.status();
         auto to = get_time(ctx, core::path::kHistTo);
@@ -227,14 +320,18 @@ void Historian::install_operations() {
             target_points = static_cast<std::size_t>(p.value());
           }
         }
-        const std::string& sensor = sensor_name.value();
-        const SeriesResult result = serve_read([&] {
-          return store_.downsample(sensor, from.value(), to.value(),
-                                   target_points);
-        });
-        pending_extra_ = static_cast<util::SimDuration>(result.points.size()) *
-                         costs_.per_point;
-        put_points(ctx, result);
+        const std::vector<SeriesResult> page =
+            serve_reads(sensors.size(), [&](std::size_t i) {
+              return store_.downsample(sensors[i], from.value(), to.value(),
+                                       target_points);
+            });
+        std::size_t longest = 0;
+        for (const SeriesResult& series : page) {
+          longest = std::max(longest, series.points.size());
+        }
+        pending_extra_ =
+            static_cast<util::SimDuration>(longest) * costs_.per_point;
+        put_series_page(ctx, page);
         return util::Status::ok();
       },
       costs_.base);

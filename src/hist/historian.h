@@ -14,7 +14,11 @@
 // the op thread submits the store scan and blocks on the future, so heavy
 // decode work runs on executor workers — never under the provider's
 // invocation lock contended by ingest — and overflow sheds back inline.
+// histDownsample answers a whole dashboard page (a list of sensors) in one
+// call: every series scan is submitted before any is waited on, and the
+// reply is one concatenated column pair split by per-series counts.
 
+#include <future>
 #include <memory>
 #include <string>
 #include <type_traits>
@@ -37,9 +41,24 @@ struct HistorianCosts {
   /// batching n readings costs base + n*per_reading, vs n*(base+...) for
   /// single-reading pushes.
   util::SimDuration per_reading = 2 * util::kMicrosecond;
-  /// Per-result-point cost charged to range/downsample responses.
+  /// Per-result-point cost charged to range/downsample responses. A
+  /// downsample page is charged for its longest series only: its scans
+  /// run side by side, as the per-sensor calls it replaced did.
   util::SimDuration per_point = 1 * util::kMicrosecond;
 };
+
+/// Fill a histDownsample reply with `page`: the series' points concatenated
+/// into the timestamps/values columns, their lengths in hist/counts and
+/// series i's source at hist/sources/<i>.
+void put_series_page(sorcer::ServiceContext& ctx,
+                     const std::vector<SeriesResult>& page);
+
+/// Split a histDownsample reply back into its `n` series, positionally. A
+/// reply whose counts do not split its columns into exactly `n` series
+/// (wrong length, negative or fractional counts, a sum past or short of the
+/// columns) fails every entry.
+std::vector<util::Result<SeriesResult>> parse_series_page(
+    const sorcer::ServiceContext& ctx, std::size_t n);
 
 class Historian final : public sorcer::ServiceProvider {
  public:
@@ -67,15 +86,36 @@ class Historian final : public sorcer::ServiceProvider {
  private:
   void install_operations();
 
-  /// Run a store scan on the read executor and wait for its result. The
-  /// closure touches only the (internally synchronized) store — never the
-  /// context or the provider lock — so blocking here cannot deadlock.
+  /// Run store scans fn(0) .. fn(count - 1) on the read executor and wait
+  /// for their results, in index order. All are submitted before any is
+  /// waited on, so a page's scans run in parallel. The closures touch only
+  /// the (internally synchronized) store — never the context or the
+  /// provider lock — so blocking here cannot deadlock.
   template <typename F>
-  auto serve_read(F&& fn) -> std::invoke_result_t<F> {
-    if (read_exec_ != nullptr) {
-      return read_exec_->submit(std::forward<F>(fn)).get();
+  auto serve_reads(std::size_t count, F&& fn)
+      -> std::vector<std::invoke_result_t<F&, std::size_t>> {
+    using R = std::invoke_result_t<F&, std::size_t>;
+    std::vector<R> out;
+    out.reserve(count);
+    if (read_exec_ == nullptr) {
+      for (std::size_t i = 0; i < count; ++i) out.push_back(fn(i));
+      return out;
     }
-    return fn();
+    std::vector<std::future<R>> pending;
+    pending.reserve(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      pending.push_back(read_exec_->submit([&fn, i] { return fn(i); }));
+    }
+    // Every worker is done with `fn` before get() can rethrow and unwind.
+    for (auto& result : pending) result.wait();
+    for (auto& result : pending) out.push_back(result.get());
+    return out;
+  }
+
+  /// serve_reads for one scan.
+  template <typename F>
+  auto serve_read(F&& fn) -> std::invoke_result_t<F&> {
+    return std::move(serve_reads(1, [&fn](std::size_t) { return fn(); })[0]);
   }
 
   HistorianStore store_;

@@ -2,12 +2,12 @@
 // ReadExecutor — the historian's read-side executor (ISSUE 10).
 //
 // Query serving moves off the caller's thread onto a small worker pool with
-// a bounded admission queue: the Historian provider's exertion ops and the
-// facade query path submit a closure, block on its future, and the scan/
-// decode work runs on an executor worker. Bounding matters under dashboard
-// load — when the queue is full the query runs inline on the caller (shed-
-// to-caller), so a slow scan can degrade latency but can never deadlock or
-// queue unboundedly. Queue depth, wait time and shed counts are mirrored
+// a bounded admission queue: the Historian provider's exertion ops submit
+// closures (a downsample page one per series), block on their futures, and
+// the scan/decode work runs on executor workers. Bounding matters under
+// dashboard load — when the queue is full the query runs inline on the
+// caller (shed-to-caller), so a slow scan can degrade latency but can never
+// deadlock or queue unboundedly. Queue depth, wait time and shed counts are mirrored
 // onto the obs registry (hist.read_*) for the federation health report.
 //
 // Safe because SensorSeries reads are internally coordinated (bounded

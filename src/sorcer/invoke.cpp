@@ -385,7 +385,11 @@ util::Status RemoteInvoker::ping(simnet::Address target,
   msg.source = addr_;
   msg.destination = target;
   msg.topic = wire::kPingTopic;
-  msg.body = wire::Request{call_id, addr_, nullptr, nullptr};
+  msg.body = wire::Request{.call_id = call_id,
+                           .reply_to = addr_,
+                           .exertion = nullptr,
+                           .txn = nullptr,
+                           .payload = nullptr};
   msg.payload_bytes = wire::kPingBytes;
   msg.protocol = simnet::Protocol::kUdp;
 

@@ -101,7 +101,9 @@ void ServiceProvider::handle_network_message(const simnet::Message& msg) {
     pong.source = net_addr_;
     pong.destination = ping->reply_to;
     pong.topic = wire::kPongTopic;
-    pong.body = wire::Response{ping->call_id, util::Status::ok()};
+    pong.body = wire::Response{.call_id = ping->call_id,
+                               .transport_status = util::Status::ok(),
+                               .payload = nullptr};
     pong.payload_bytes = wire::kPingBytes;
     pong.protocol = simnet::Protocol::kUdp;
     (void)net_->send(pong);
@@ -140,7 +142,9 @@ void ServiceProvider::handle_network_message(const simnet::Message& msg) {
       err.source = net_addr_;
       err.destination = req->reply_to;
       err.topic = wire::kResponseTopic;
-      err.body = wire::Response{req->call_id, std::move(decoded)};
+      err.body = wire::Response{.call_id = req->call_id,
+                                .transport_status = std::move(decoded),
+                                .payload = nullptr};
       err.payload_bytes = wire::kFlatResponseEnvelopeBytes;
       err.protocol = simnet::Protocol::kTcp;
       err.trace = obs::current_context();

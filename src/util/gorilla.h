@@ -24,8 +24,11 @@
 //     '11'    + 6b leading + 6b (meaningful - 1) + meaningful bits of x
 //
 // Every read is bounds-checked: a truncated or corrupted stream makes the
-// getters return false instead of reading past the buffer.
+// getters return false instead of reading past the buffer. Decoding peeks a
+// class prefix together with its short payload in one word load, then
+// consumes what it used.
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -156,6 +159,27 @@ class BitReader {
     return true;
   }
 
+  /// The next `bits` bits (1..56) without consuming them, zero-filled past
+  /// the end of the stream. Decoders peek a prefix together with what
+  /// follows it, check bits_left(), then skip() the bits they used.
+  [[nodiscard]] std::uint64_t peek(unsigned bits) const {
+    const std::size_t byte = bit_pos_ >> 3;
+    std::uint64_t w = 0;
+    if (byte + 8 <= size_) {
+      w = load_be64(data_ + byte);
+    } else if (byte < size_) {
+      std::uint8_t tail[8] = {};
+      std::memcpy(tail, data_ + byte, size_ - byte);
+      w = load_be64(tail);
+    }
+    return (w << (bit_pos_ & 7)) >> (64 - bits);
+  }
+
+  [[nodiscard]] std::size_t bits_left() const { return size_ * 8 - bit_pos_; }
+
+  /// Consume `bits` already peeked; the caller has checked bits_left().
+  void skip(unsigned bits) { bit_pos_ += bits; }
+
   [[nodiscard]] std::size_t bit_pos() const { return bit_pos_; }
   /// Bytes consumed, counting a partially read final byte.
   [[nodiscard]] std::size_t bytes_used() const { return (bit_pos_ + 7) / 8; }
@@ -206,41 +230,40 @@ inline void put_dod(BitWriter& w, std::int64_t dod) {
 }
 
 inline bool get_dod(BitReader& r, std::int64_t& dod) {
-  std::uint64_t b = 0;
-  if (!r.get(1, b)) return false;
-  if (b == 0) {
+  // One peek holds the class prefix (its leading ones) and, for the three
+  // short classes, the payload too: '1110' + 12 bits is the widest.
+  const std::uint64_t head = r.peek(16);
+  const unsigned ones =
+      std::min(5u, static_cast<unsigned>(std::countl_one(head << 48)));
+  if (ones == 0) {
+    if (r.bits_left() < 1) return false;
+    r.skip(1);
     dod = 0;
     return true;
   }
-  unsigned klass = 1;
-  while (klass < 5) {
-    if (!r.get(1, b)) return false;
-    if (b == 0) break;
-    ++klass;
+  if (ones <= 3) {
+    static constexpr unsigned kWidth[] = {0, 7, 9, 12};
+    static constexpr std::int64_t kBias[] = {0, 63, 255, 2047};
+    const unsigned len = ones + 1 + kWidth[ones];
+    if (r.bits_left() < len) return false;
+    r.skip(len);
+    const std::uint64_t payload =
+        (head >> (16 - len)) & ((std::uint64_t{1} << kWidth[ones]) - 1);
+    dod = static_cast<std::int64_t>(payload) - kBias[ones];
+    return true;
   }
+  // '11110' + 32 bits or '11111' + 64 bits.
+  if (r.bits_left() < 5) return false;
+  r.skip(5);
   std::uint64_t bits = 0;
-  switch (klass) {
-    case 1:
-      if (!r.get(7, bits)) return false;
-      dod = static_cast<std::int64_t>(bits) - 63;
-      return true;
-    case 2:
-      if (!r.get(9, bits)) return false;
-      dod = static_cast<std::int64_t>(bits) - 255;
-      return true;
-    case 3:
-      if (!r.get(12, bits)) return false;
-      dod = static_cast<std::int64_t>(bits) - 2047;
-      return true;
-    case 4:
-      if (!r.get(32, bits)) return false;
-      dod = sign_extend(bits, 32);
-      return true;
-    default:
-      if (!r.get(64, bits)) return false;
-      dod = static_cast<std::int64_t>(bits);
-      return true;
+  if (ones == 4) {
+    if (!r.get(32, bits)) return false;
+    dod = sign_extend(bits, 32);
+    return true;
   }
+  if (!r.get(64, bits)) return false;
+  dod = static_cast<std::int64_t>(bits);
+  return true;
 }
 
 /// XOR-coder state: the previous value's bits and the last explicit
@@ -285,20 +308,27 @@ inline void put_xor(BitWriter& w, XorState& s, std::uint64_t bits) {
 }
 
 inline bool get_xor(BitReader& r, XorState& s) {
-  std::uint64_t b = 0;
-  if (!r.get(1, b)) return false;
-  if (b == 0) return true;  // repeat of the previous value
-  if (!r.get(1, b)) return false;
+  // One peek holds the control bits and a new window's 6b leading + 6b
+  // (meaningful - 1).
+  const std::uint64_t head = r.peek(14);
+  if ((head >> 13) == 0) {  // '0': repeat of the previous value
+    if (r.bits_left() < 1) return false;
+    r.skip(1);
+    return true;
+  }
   std::uint64_t bits = 0;
-  if (b == 0) {
-    if (!s.window_valid || !r.get(s.meaningful, bits)) return false;
+  if ((head >> 12) == 0b10) {
+    if (!s.window_valid || r.bits_left() < 2) return false;
+    r.skip(2);
+    if (!r.get(s.meaningful, bits)) return false;
   } else {
-    std::uint64_t leading = 0;
-    std::uint64_t mlen = 0;
-    if (!r.get(6, leading) || !r.get(6, mlen)) return false;
-    const unsigned meaningful = static_cast<unsigned>(mlen) + 1;
-    if (leading + meaningful > 64 || !r.get(meaningful, bits)) return false;
-    s.leading = static_cast<unsigned>(leading);
+    if (r.bits_left() < 14) return false;
+    const auto leading = static_cast<unsigned>((head >> 6) & 63);
+    const auto meaningful = static_cast<unsigned>(head & 63) + 1;
+    if (leading + meaningful > 64) return false;
+    r.skip(14);
+    if (!r.get(meaningful, bits)) return false;
+    s.leading = leading;
     s.meaningful = meaningful;
     s.window_valid = true;
   }

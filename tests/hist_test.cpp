@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <future>
 #include <set>
 #include <thread>
@@ -21,6 +22,7 @@
 #include "hist/series.h"
 #include "hist/store.h"
 #include "obs/metrics.h"
+#include "sorcer/codec.h"
 #include "util/rng.h"
 
 namespace sensorcer::hist {
@@ -647,36 +649,236 @@ TEST(HistorianDeployment, SampledReadingsReachTheHistorianAndTheFacade) {
   EXPECT_EQ(range.value().points.size(), stats.value().stats.count);
 }
 
-TEST(HistorianDeployment, DashboardFanOutServesQueriesOffTheReadExecutor) {
+/// A deployment whose historian holds one preloaded 1 Hz series of 4000
+/// readings per name (no live sensors): the newest 2048 stay raw in sealed
+/// blocks and the active block, older ones are demoted to the tiers.
+std::unique_ptr<core::Deployment> preloaded_lab(
+    const std::vector<std::string>& names) {
   core::DeploymentConfig config;
-  config.history_feed.flush_period = 2 * kSecond;
-  core::Deployment lab(config);
-  lab.add_temperature_sensor("Oak-Sensor", 20.0);
-  lab.add_temperature_sensor("Elm-Sensor", 22.0);
-  lab.pump(30 * kSecond);
+  config.historian.series.raw_capacity = 2048;
+  config.historian.series.block_readings = 256;
+  config.historian.series.mid_max_buckets = 256;
+  config.historian.max_bytes = 0;
+  auto lab = std::make_unique<core::Deployment>(config);
+  lab->pump(kSecond);  // settle registrations
+  util::Rng rng(31);
+  for (std::size_t s = 0; s < names.size(); ++s) {
+    std::vector<Reading> readings;
+    const double base = 15.0 + static_cast<double>(s);
+    for (int i = 0; i < 4000; ++i) {
+      const double v = base + std::sin(static_cast<double>(i) / 600.0) +
+                       rng.gaussian(0.0, 0.05);
+      readings.push_back(make_reading(
+          static_cast<util::SimTime>(s) * 100 * util::kMillisecond +
+              static_cast<util::SimTime>(i) * kSecond,
+          std::round(v * 100.0) / 100.0));
+    }
+    lab->historian()->store().append(names[s], readings);
+  }
+  return lab;
+}
 
-  ASSERT_NE(lab.historian(), nullptr);
-  ASSERT_NE(lab.historian()->read_executor(), nullptr)
+TEST(HistorianDeployment, DashboardFanOutServesQueriesOffTheReadExecutor) {
+  const std::vector<std::string> names = {"Oak", "Elm", "Ash", "Yew"};
+  auto lab = preloaded_lab(names);
+  ASSERT_NE(lab->historian()->read_executor(), nullptr)
       << "default config must deploy the read executor";
+  const auto wire_before = counter("invoke.wire_calls");
   const auto served_before = counter("hist.reads_served");
 
-  // One dashboard page: downsample every sensor in a single scatter-gather
-  // batch, positional results.
-  const auto page = lab.facade().query_downsample_many(
-      {"Oak-Sensor", "Elm-Sensor", "no-such-sensor"}, 0, lab.now(), 16);
-  ASSERT_EQ(page.size(), 3u);
-  ASSERT_TRUE(page[0].is_ok());
-  ASSERT_TRUE(page[1].is_ok());
-  EXPECT_GT(page[0].value().points.size(), 0u);
-  EXPECT_LE(page[0].value().points.size(), 16u);
-  EXPECT_GT(page[1].value().points.size(), 0u);
-  // Unknown sensors answer an empty series, not a batch failure.
-  ASSERT_TRUE(page[2].is_ok());
-  EXPECT_TRUE(page[2].value().points.empty());
+  const auto page = lab->facade().query_downsample_many(
+      names, 0, 4000 * kSecond, 16);
+  ASSERT_EQ(page.size(), names.size());
+  for (const auto& series : page) {
+    ASSERT_TRUE(series.is_ok()) << series.status().to_string();
+    EXPECT_GT(series.value().points.size(), 0u);
+    EXPECT_LE(series.value().points.size(), 16u);
+  }
+  // One exertion for the whole page, N store scans on executor workers.
+  EXPECT_EQ(counter("invoke.wire_calls") - wire_before, 1u);
+  EXPECT_EQ(counter("hist.reads_served") - served_before, names.size());
+  EXPECT_EQ(lab->historian()->read_executor()->depth(), 0u);
 
-  // The queries were served by executor workers, visibly in obs metrics.
-  EXPECT_GT(counter("hist.reads_served"), served_before);
-  EXPECT_EQ(lab.historian()->read_executor()->depth(), 0u);
+  // A second page is exactly one more call.
+  (void)lab->facade().query_downsample_many(names, 0, 4000 * kSecond, 64);
+  EXPECT_EQ(counter("invoke.wire_calls") - wire_before, 2u);
+}
+
+TEST(HistorianDeployment, DashboardPageMatchesSingleQueriesOnEveryPath) {
+  // Names ride as indexed paths, so any characters survive the round trip.
+  const std::vector<std::string> names = {"Oak", "a/b c,d", "", "Fir;1|x"};
+  auto lab = preloaded_lab(names);
+  auto& store = lab->historian()->store();
+  struct Window {
+    util::SimTime from;
+    util::SimTime to;
+    std::size_t points;
+    const char* source;
+  };
+  const Window windows[] = {
+      {3800 * kSecond, 4000 * kSecond, 16, "raw"},
+      {3000 * kSecond, 4000 * kSecond, 8, "rollup:60.000s"},
+      {0, 4000 * kSecond, 32, "tiered"},
+  };
+  for (const Window& w : windows) {
+    SCOPED_TRACE(w.source);
+    const auto page =
+        lab->facade().query_downsample_many(names, w.from, w.to, w.points);
+    ASSERT_EQ(page.size(), names.size());
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      SCOPED_TRACE(names[i]);
+      ASSERT_TRUE(page[i].is_ok());
+      const auto single =
+          lab->facade().query_downsample(names[i], w.from, w.to, w.points);
+      ASSERT_TRUE(single.is_ok());
+      const SeriesResult direct =
+          store.downsample(names[i], w.from, w.to, w.points);
+      EXPECT_EQ(direct.source, w.source);
+      for (const SeriesResult* other : {&single.value(), &direct}) {
+        EXPECT_EQ(page[i].value().source, other->source);
+        ASSERT_EQ(page[i].value().points.size(), other->points.size());
+        for (std::size_t k = 0; k < other->points.size(); ++k) {
+          EXPECT_EQ(page[i].value().points[k].timestamp,
+                    other->points[k].timestamp);
+          EXPECT_EQ(page[i].value().points[k].value, other->points[k].value);
+        }
+      }
+    }
+  }
+}
+
+TEST(HistorianDeployment, DashboardPageCostsItsLongestSeries) {
+  // A page's scans run side by side, so its modeled cost is that of its
+  // longest series alone, not the sum over the page.
+  const std::vector<std::string> names = {"Oak", "Elm", "Ash", "Yew"};
+  auto lab = preloaded_lab(names);
+  const auto elapsed = [&](const std::vector<std::string>& page) {
+    const util::SimTime start = lab->now();
+    const auto out =
+        lab->facade().query_downsample_many(page, 0, 4000 * kSecond, 64);
+    EXPECT_EQ(out.size(), page.size());
+    return lab->now() - start;
+  };
+  (void)elapsed(names);  // warm the accessor cache and intern tables
+  const util::SimDuration one = elapsed({"Oak"});
+  EXPECT_EQ(elapsed(names), one);
+  EXPECT_EQ(elapsed({"no-such-sensor", "Oak"}), one);
+}
+
+TEST(HistorianDeployment, DashboardPageAnswersUnknownAndEmptyLists) {
+  auto lab = preloaded_lab({"Oak", "Elm"});
+  const auto wire_before = counter("invoke.wire_calls");
+  // An empty page makes no call at all.
+  EXPECT_TRUE(
+      lab->facade().query_downsample_many({}, 0, 4000 * kSecond, 16).empty());
+  EXPECT_EQ(counter("invoke.wire_calls"), wire_before);
+
+  // An unknown sensor mid-list answers an ok empty series; its neighbours
+  // keep their points.
+  const auto page = lab->facade().query_downsample_many(
+      {"Oak", "no-such-sensor", "Elm"}, 0, 4000 * kSecond, 16);
+  ASSERT_EQ(page.size(), 3u);
+  for (const auto& series : page) ASSERT_TRUE(series.is_ok());
+  EXPECT_GT(page[0].value().points.size(), 0u);
+  EXPECT_TRUE(page[1].value().points.empty());
+  EXPECT_EQ(page[1].value().source, "none");
+  EXPECT_GT(page[2].value().points.size(), 0u);
+  EXPECT_EQ(counter("invoke.wire_calls") - wire_before, 1u);
+}
+
+/// A three-series page context as the historian writes it.
+sorcer::ServiceContext page_reply() {
+  std::vector<SeriesResult> page(3);
+  for (std::size_t s = 0; s < page.size(); ++s) {
+    page[s].source = s == 1 ? "tiered" : "raw";
+    for (std::size_t i = 0; i < 20 * s; ++i) {
+      page[s].points.push_back({static_cast<util::SimTime>(i) * 60 * kSecond,
+                                20.0 + 0.25 * static_cast<double>(i % 7)});
+    }
+  }
+  sorcer::ServiceContext ctx("page");
+  put_series_page(ctx, page);
+  return ctx;
+}
+
+TEST(HistorianPage, RoundTripsPositionally) {
+  const auto parsed = parse_series_page(page_reply(), 3);
+  ASSERT_EQ(parsed.size(), 3u);
+  for (std::size_t s = 0; s < 3; ++s) {
+    ASSERT_TRUE(parsed[s].is_ok());
+    EXPECT_EQ(parsed[s].value().points.size(), 20 * s);
+    EXPECT_EQ(parsed[s].value().source, s == 1 ? "tiered" : "raw");
+  }
+  EXPECT_EQ(parsed[2].value().points[19].timestamp, 19 * 60 * kSecond);
+}
+
+TEST(HistorianPage, MalformedCountsFailEveryEntry) {
+  const auto all_failed = [](const sorcer::ServiceContext& ctx,
+                             std::size_t n) {
+    const auto parsed = parse_series_page(ctx, n);
+    if (parsed.size() != n) return false;
+    return std::none_of(parsed.begin(), parsed.end(),
+                        [](const auto& r) { return r.is_ok(); });
+  };
+  const auto with_counts = [](std::vector<double> counts) {
+    sorcer::ServiceContext ctx = page_reply();  // 0 + 20 + 40 points
+    ctx.put(core::path::kHistCounts, std::move(counts));
+    return ctx;
+  };
+  EXPECT_TRUE(all_failed(page_reply(), 2)) << "fewer series than counts";
+  EXPECT_TRUE(all_failed(page_reply(), 4)) << "more series than counts";
+  EXPECT_TRUE(all_failed(with_counts({0, 20, 41}), 3)) << "sum past columns";
+  EXPECT_TRUE(all_failed(with_counts({0, 20, 39}), 3)) << "sum short";
+  EXPECT_TRUE(all_failed(with_counts({-1, 21, 40}), 3)) << "negative count";
+  EXPECT_TRUE(all_failed(with_counts({0.5, 19.5, 40}), 3)) << "fractional";
+  EXPECT_TRUE(all_failed(with_counts({0.5, 20, 40}), 3))
+      << "fractional, though the truncated counts sum to the columns";
+  EXPECT_TRUE(all_failed(with_counts({std::nan(""), 20, 40}), 3)) << "NaN";
+  EXPECT_TRUE(all_failed(with_counts({1e300, 20, 40}), 3)) << "huge count";
+  EXPECT_TRUE(all_failed(with_counts({60, -20, 20}), 3))
+      << "a negative count must not pull the sum back in range";
+  sorcer::ServiceContext no_counts = page_reply();
+  no_counts.remove(core::path::kHistCounts);
+  EXPECT_TRUE(all_failed(no_counts, 3));
+  sorcer::ServiceContext bad_time = page_reply();
+  std::vector<double> times =
+      *bad_time.peek_series(core::path::kHistTimestamps);
+  times.back() = std::nan("");
+  bad_time.put(core::path::kHistTimestamps, std::move(times));
+  EXPECT_TRUE(all_failed(bad_time, 3)) << "a timestamp no SimTime can hold";
+  sorcer::ServiceContext short_values = page_reply();
+  short_values.put(core::path::kHistValues, std::vector<double>{1.0, 2.0});
+  EXPECT_TRUE(all_failed(short_values, 3)) << "values shorter than times";
+  EXPECT_TRUE(parse_series_page(with_counts({0, 20, 40}), 3)[2].is_ok());
+}
+
+TEST(HistorianPage, TruncatedEncodedReplyNeverCrashes) {
+  const sorcer::ServiceContext reply = page_reply();
+  sorcer::PathInternTable encoder;
+  sorcer::WireBuffer bytes;
+  sorcer::encode_context(reply, encoder, bytes);
+  std::size_t decoded = 0;
+  for (std::size_t cut = 0; cut <= bytes.size(); ++cut) {
+    sorcer::PathInternTable decoder;
+    sorcer::ServiceContext into;
+    if (!sorcer::decode_context(bytes.data(), cut, decoder, into).is_ok()) {
+      continue;
+    }
+    ++decoded;
+    // Whatever decoded must split cleanly or fail as a whole.
+    const auto parsed = parse_series_page(into, 3);
+    ASSERT_EQ(parsed.size(), 3u);
+    const bool ok = parsed[0].is_ok();
+    for (const auto& r : parsed) EXPECT_EQ(r.is_ok(), ok) << "cut=" << cut;
+  }
+  EXPECT_GE(decoded, 1u) << "the whole encoding must decode";
+  sorcer::PathInternTable decoder;
+  sorcer::ServiceContext into;
+  ASSERT_TRUE(sorcer::decode_context(bytes.data(), bytes.size(), decoder, into)
+                  .is_ok());
+  const auto parsed = parse_series_page(into, 3);
+  ASSERT_TRUE(parsed[2].is_ok());
+  EXPECT_EQ(parsed[2].value().points.size(), 40u);
 }
 
 TEST(HistorianDeployment, WireModeIngestionIsByteAccounted) {
