@@ -5,7 +5,7 @@
 // Simulates a churning population of sensor services: services join, live
 // for a random time, then either leave cleanly or crash (stop renewing).
 // Each lease duration is run twice: with the real LeaseRenewalManager's
-// per-(shard, window) renewAll batches, and with PerLeaseRenewer below, the
+// per-(shard, half-life) renewAll batches, and with PerLeaseRenewer below, the
 // baseline batching replaced (one timer and one renewal message per lease).
 // Sweeps the lease duration and reports, per setting: how long crashed
 // services lingered as stale registry entries (detection latency), and the
@@ -96,10 +96,9 @@ struct ChurnResult {
 ChurnResult run_churn(util::SimDuration lease, bool batched) {
   util::Scheduler sched;
   auto lus = std::make_shared<LookupService>("lus", sched);
-  // The renewal window tracks the half-life: every renewal falling due
+  // Renewals snap to the lease's half-life grid: every renewal falling due
   // within half a lease rides the same per-shard renewAll message.
-  registry::LeaseRenewalManager lrm(sched,
-                                    registry::LeaseBatchConfig{lease / 2});
+  registry::LeaseRenewalManager lrm(sched);
   PerLeaseRenewer individual(sched, *lus);
   const auto manage = [&](const registry::Lease& l) {
     batched ? lrm.manage(l, lus, lease) : individual.manage(l.id, lease);

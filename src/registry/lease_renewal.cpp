@@ -41,13 +41,11 @@ void LeaseRenewalManager::enqueue(const util::Uuid& lease_id) {
   Managed& m = it->second;
   const util::SimTime now = scheduler_.now();
   const util::SimDuration half =
-      std::max<util::SimDuration>(m.duration / 2, util::kMillisecond);
-  const util::SimTime due = now + half;
-  // Snap the renewal to the start of its due window: every member of the
-  // window is renewed at or before its own half-life, so batching never
-  // costs a lease its safety margin.
-  util::SimTime fire_at = (due / batch_.window) * batch_.window;
-  if (fire_at <= now) fire_at = due;  // lease shorter than ~2 windows
+      std::max<util::SimDuration>(m.duration / 2, util::kMicrosecond);
+  // Snap the renewal to the last half-life grid point at or before its due
+  // time. That point lies in (now, now + half], so every lease is renewed at
+  // or before its own half-life and never at the instant it was armed.
+  const util::SimTime fire_at = ((now + half) / half) * half;
   m.batch_fire = fire_at;
 
   const BatchKey key{m.lus.lock().get(), m.shard, fire_at};
@@ -66,7 +64,7 @@ void LeaseRenewalManager::fire_batch(const BatchKey& key) {
   Batch batch = std::move(bit->second);
   batches_.erase(bit);
 
-  // Filter to leases still managed and still assigned to this window
+  // Filter to leases still managed and still assigned to this grid point
   // (release/cancel/re-manage leave stale ids behind in the batch vector).
   std::vector<RenewItem> items;
   std::vector<util::Uuid> ids;
@@ -79,8 +77,8 @@ void LeaseRenewalManager::fire_batch(const BatchKey& key) {
     }
     items.push_back({id, mit->second.duration});
     ids.push_back(id);
-    // Mark in-flight so a duplicate vector entry (re-manage into the same
-    // window) cannot renew the lease twice.
+    // Mark in-flight so a duplicate vector entry (re-manage onto the same
+    // grid point) cannot renew the lease twice.
     mit->second.batch_fire = -2;
   }
   if (items.empty()) return;
@@ -111,7 +109,7 @@ void LeaseRenewalManager::fire_batch(const BatchKey& key) {
 void LeaseRenewalManager::release(const util::Uuid& lease_id) {
   auto it = managed_.find(lease_id);
   if (it == managed_.end()) return;
-  // No timer bookkeeping: the window fires regardless and skips ids that
+  // No timer bookkeeping: the batch fires regardless and skips ids that
   // are no longer managed.
   managed_.erase(it);
 }

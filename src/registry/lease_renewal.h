@@ -7,12 +7,14 @@
 // death) lets the lease lapse, and the LUS disposes the registration — the
 // self-healing behaviour of §IV.B.
 //
-// Renewals are batched per (LUS, shard, due-window): leases whose half-life
-// renewal falls in the same window ride one renewAll wire message to their
-// shard (EMMA's aggregate-per-neighbor lesson), so renewal traffic scales
-// with shards x windows instead of with the lease population. Denied leases
-// lapse individually; the rest of the batch survives. Batching is the only
-// mode; the per-lease-timer baseline it replaced lives in
+// Renewals are batched per (LUS, shard, half-life grid point): a lease of
+// duration d is renewed at the first multiple of d/2 after it is armed (an
+// absolute grid that starts at t = 0), so every lease of one duration on one
+// shard rides the same renewAll wire message whenever it was granted (EMMA's
+// aggregate-per-neighbor lesson). After one half-life, renewal traffic is
+// one message per shard per half-life instead of one per lease. Denied
+// leases lapse individually; the rest of the batch survives. The
+// per-lease-timer baseline that batching replaced lives in
 // bench/bench_lease_churn.cpp, which measures the message reduction.
 
 #include <memory>
@@ -24,26 +26,18 @@
 
 namespace sensorcer::registry {
 
-/// Renewal batching knob. `window` is the due-bucket width: wider windows
-/// pack more leases per message but renew slightly earlier on average
-/// (a lease is renewed at most one window before its half-life).
-struct LeaseBatchConfig {
-  util::SimDuration window = 100 * util::kMillisecond;
-};
-
 class LeaseRenewalManager {
  public:
-  explicit LeaseRenewalManager(util::Scheduler& scheduler,
-                               LeaseBatchConfig batch = {})
-      : scheduler_(scheduler), batch_(batch) {}
+  explicit LeaseRenewalManager(util::Scheduler& scheduler)
+      : scheduler_(scheduler) {}
 
   ~LeaseRenewalManager();
 
   LeaseRenewalManager(const LeaseRenewalManager&) = delete;
   LeaseRenewalManager& operator=(const LeaseRenewalManager&) = delete;
 
-  /// Keep `lease` (granted by `lus`) alive by renewing for `duration` every
-  /// time half of the remaining lifetime has elapsed.
+  /// Keep `lease` (granted by `lus`) alive by renewing it for `duration` at
+  /// the first multiple of duration/2 after each grant or renewal.
   void manage(const Lease& lease, std::weak_ptr<LookupService> lus,
               util::SimDuration duration);
 
@@ -61,12 +55,19 @@ class LeaseRenewalManager {
   /// renewAll wire messages sent.
   [[nodiscard]] std::uint64_t batches_sent() const { return batches_sent_; }
 
+  /// The instant the renewal of `lease_id` is armed for; kNever when the
+  /// lease is not managed.
+  [[nodiscard]] util::SimTime next_renewal(const util::Uuid& lease_id) const {
+    auto it = managed_.find(lease_id);
+    return it == managed_.end() ? util::kNever : it->second.batch_fire;
+  }
+
  private:
   struct Managed {
     std::weak_ptr<LookupService> lus;
     util::SimDuration duration;
     std::uint32_t shard = 0;
-    util::SimTime batch_fire = -1;  // pending window start; -2 in flight
+    util::SimTime batch_fire = -1;  // pending grid point; -2 in flight
   };
 
   struct BatchKey {
@@ -94,7 +95,6 @@ class LeaseRenewalManager {
   void fire_batch(const BatchKey& key);
 
   util::Scheduler& scheduler_;
-  LeaseBatchConfig batch_;
   std::unordered_map<util::Uuid, Managed> managed_;
   std::unordered_map<BatchKey, Batch, BatchKeyHash> batches_;
   std::uint64_t failures_ = 0;

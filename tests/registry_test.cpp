@@ -4,12 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
+#include <set>
+
 #include "obs/metrics.h"
 #include "registry/discovery.h"
 #include "registry/event_mailbox.h"
 #include "registry/lease_renewal.h"
 #include "registry/lookup.h"
 #include "registry/transaction.h"
+#include "util/rng.h"
 
 namespace sensorcer::registry {
 namespace {
@@ -964,7 +970,7 @@ TEST_F(FederationTest, ExpiryIndexReArmsRenewedLeases) {
 TEST(BatchedRenewal, DeniedLeaseLapsesBatchSurvives) {
   util::Scheduler sched;
   auto lus = std::make_shared<LookupService>("lus", sched);
-  LeaseRenewalManager lrm{sched, LeaseBatchConfig{100 * kMillisecond}};
+  LeaseRenewalManager lrm{sched};
 
   auto a = lus->register_service(make_item("a"), 2 * kSecond);
   auto b = lus->register_service(make_item("b"), 2 * kSecond);
@@ -991,7 +997,7 @@ TEST(BatchedRenewal, StormSendsOneMessagePerShardPerWindow) {
   const std::size_t kShards = 4;
   auto lus = std::make_shared<LookupService>(
       "lus", sched, nullptr, 100 * kMillisecond, kShards);
-  LeaseRenewalManager lrm{sched, LeaseBatchConfig{100 * kMillisecond}};
+  LeaseRenewalManager lrm{sched};
 
   // 10k leases granted at t=0 with the same duration: every renewal falls
   // due in the same window, so each round must collapse to one renewAll
@@ -1020,7 +1026,7 @@ TEST(BatchedRenewal, StormSendsOneMessagePerShardPerWindow) {
 TEST(BatchedRenewal, LeaseShorterThanTwoWindowsRenewsAndNeverLapses) {
   util::Scheduler sched;
   auto lus = std::make_shared<LookupService>("lus", sched);
-  LeaseRenewalManager lrm{sched, LeaseBatchConfig{100 * kMillisecond}};
+  LeaseRenewalManager lrm{sched};
   obs::Counter& renewals = obs::metrics().counter("registry.renewals");
   const std::uint64_t before = renewals.value();
 
@@ -1047,7 +1053,7 @@ TEST(BatchedRenewal, LeaseShorterThanTwoWindowsRenewsAndNeverLapses) {
 TEST(BatchedRenewal, RemanagedLeaseRenewsOncePerWindow) {
   util::Scheduler sched;
   auto lus = std::make_shared<LookupService>("lus", sched);
-  LeaseRenewalManager lrm{sched, LeaseBatchConfig{100 * kMillisecond}};
+  LeaseRenewalManager lrm{sched};
   obs::Counter& renewals = obs::metrics().counter("registry.renewals");
   const std::uint64_t before = renewals.value();
 
@@ -1068,6 +1074,126 @@ TEST(BatchedRenewal, RemanagedLeaseRenewsOncePerWindow) {
   EXPECT_EQ(lrm.batches_sent(), 2u);
   EXPECT_TRUE(lus->contains(reg.service_id));
   EXPECT_EQ(lrm.failed_renewals(), 0u);
+}
+
+TEST(BatchedRenewal, StaggeredGrantsShareOneMessagePerShard) {
+  util::Scheduler sched;
+  const std::size_t kShards = 4;
+  auto lus = std::make_shared<LookupService>(
+      "lus", sched, nullptr, 100 * kMillisecond, kShards);
+  LeaseRenewalManager lrm{sched};
+
+  // 40 leases of 30 s granted 370 ms apart, as sensors booted one after
+  // another: no two are due within 100 ms of each other, yet all of them
+  // renew on the same 15 s half-life grid.
+  const util::SimDuration lease = 30 * kSecond;
+  const std::size_t kLeases = 40;
+  std::set<std::uint32_t> shards;
+  for (std::size_t i = 0; i < kLeases; ++i) {
+    sched.run_until(static_cast<util::SimTime>(i) * 370 * kMillisecond);
+    auto reg = lus->register_service(
+        make_item("s" + std::to_string(i)), lease);
+    lrm.manage(reg.lease, lus, lease);
+    shards.insert(reg.lease.shard);
+  }
+  ASSERT_EQ(shards.size(), kShards);
+
+  // The first grid point renews every lease, one renewAll per shard; each
+  // later half-life adds exactly one more message per shard.
+  sched.run_until(lease / 2);
+  EXPECT_EQ(lrm.batches_sent(), kShards);
+  for (std::size_t round = 2; round <= 8; ++round) {
+    sched.run_until(static_cast<util::SimTime>(round) * (lease / 2));
+    EXPECT_EQ(lrm.batches_sent(), round * kShards) << "half-life " << round;
+  }
+  EXPECT_EQ(lrm.failed_renewals(), 0u);
+  EXPECT_EQ(lus->expired_count(), 0u);
+  EXPECT_EQ(lus->service_count(), kLeases);
+}
+
+TEST(BatchedRenewal, RenewalsFireInsideEveryHalfLife) {
+  util::Scheduler sched;
+  // A 1 ms sweep disposes a lease as soon as it runs out.
+  auto lus = std::make_shared<LookupService>("lus", sched, nullptr,
+                                             1 * kMillisecond, 4);
+  LeaseRenewalManager lrm{sched};
+  util::Rng rng(1729);
+
+  // Durations from 1 ms to 60 s: both ends, grids that do not divide each
+  // other (prime milliseconds, odd microseconds) and log-uniform draws.
+  std::vector<util::SimDuration> durations = {
+      1 * kMillisecond, 1001,        7 * kMillisecond, 13 * kMillisecond,
+      997 * kMillisecond, 30 * kSecond + 7, 60 * kSecond};
+  while (durations.size() < 48) {
+    durations.push_back(static_cast<util::SimDuration>(
+        static_cast<double>(kMillisecond) *
+        std::pow(60000.0, rng.next_double())));
+  }
+  struct Grant {
+    util::SimTime at;
+    util::SimDuration duration;
+  };
+  std::vector<Grant> grants;
+  for (util::SimDuration d : durations) {
+    grants.push_back({rng.between(0, 60 * kSecond), d});
+  }
+  std::sort(grants.begin(), grants.end(),
+            [](const Grant& a, const Grant& b) { return a.at < b.at; });
+
+  struct Watched {
+    Lease lease;
+    ServiceId service;
+    util::SimDuration duration;
+    int renewals = 0;
+  };
+  std::vector<Watched> watched;
+  std::multimap<util::SimTime, std::size_t> armed;  // instant -> watched
+  // The renewal armed at `from` (a grant or a renewal) must lie in
+  // (from, from + duration/2].
+  const auto expect_armed = [&](std::size_t i, util::SimTime from) {
+    const util::SimTime at = lrm.next_renewal(watched[i].lease.id);
+    if (at <= from || at > from + watched[i].duration / 2) {
+      ADD_FAILURE() << "lease of " << watched[i].duration << " us armed at "
+                    << at << " from " << from;
+      return;
+    }
+    armed.emplace(at, i);
+  };
+
+  // Watch every lease for 10 half-lives, then cancel it cleanly.
+  constexpr int kHalfLives = 10;
+  std::size_t next_grant = 0;
+  while (next_grant < grants.size() || !armed.empty()) {
+    util::SimTime t = util::kNever;
+    if (next_grant < grants.size()) t = grants[next_grant].at;
+    if (!armed.empty()) t = std::min(t, armed.begin()->first);
+    sched.run_until(t);
+
+    while (!armed.empty() && armed.begin()->first == t) {
+      const std::size_t i = armed.begin()->second;
+      armed.erase(armed.begin());
+      EXPECT_TRUE(lus->contains(watched[i].service));
+      if (++watched[i].renewals == kHalfLives) {
+        lrm.cancel(watched[i].lease.id);
+      } else {
+        expect_armed(i, t);
+      }
+    }
+    for (; next_grant < grants.size() && grants[next_grant].at == t;
+         ++next_grant) {
+      const util::SimDuration d = grants[next_grant].duration;
+      auto reg = lus->register_service(
+          make_item("g" + std::to_string(watched.size())), d);
+      lrm.manage(reg.lease, lus, d);
+      watched.push_back({reg.lease, reg.service_id, d, 0});
+      expect_armed(watched.size() - 1, t);
+    }
+  }
+
+  for (const Watched& w : watched) EXPECT_EQ(w.renewals, kHalfLives);
+  EXPECT_EQ(lrm.failed_renewals(), 0u);
+  EXPECT_EQ(lus->expired_count(), 0u);
+  EXPECT_EQ(lrm.managed_count(), 0u);
 }
 
 }  // namespace

@@ -19,14 +19,17 @@ using util::kSecond;
 
 TEST(Qos, SatisfiesChecksComputeAndMemory) {
   QosCapability platform{4.0, 1024.0, "x86_64", {}};
-  EXPECT_TRUE(satisfies(platform, 4.0, 1024.0, QosRequirement{1.0, 256.0}));
-  EXPECT_FALSE(satisfies(platform, 0.5, 1024.0, QosRequirement{1.0, 256.0}));
-  EXPECT_FALSE(satisfies(platform, 4.0, 128.0, QosRequirement{1.0, 256.0}));
+  const QosRequirement req{
+      .compute_units = 1.0, .memory_mb = 256.0, .arch = "", .labels = {}};
+  EXPECT_TRUE(satisfies(platform, 4.0, 1024.0, req));
+  EXPECT_FALSE(satisfies(platform, 0.5, 1024.0, req));
+  EXPECT_FALSE(satisfies(platform, 4.0, 128.0, req));
 }
 
 TEST(Qos, ArchMustMatchWhenSpecified) {
   QosCapability platform{4.0, 1024.0, "arm64", {}};
-  QosRequirement req{1.0, 64.0, "x86_64", {}};
+  QosRequirement req{
+      .compute_units = 1.0, .memory_mb = 64.0, .arch = "x86_64", .labels = {}};
   EXPECT_FALSE(satisfies(platform, 4.0, 1024.0, req));
   req.arch = "arm64";
   EXPECT_TRUE(satisfies(platform, 4.0, 1024.0, req));
@@ -36,7 +39,8 @@ TEST(Qos, ArchMustMatchWhenSpecified) {
 
 TEST(Qos, AllLabelsRequired) {
   QosCapability platform{4.0, 1024.0, "x86_64", {"edge", "gpu"}};
-  QosRequirement req{1.0, 64.0, "", {"edge"}};
+  QosRequirement req{
+      .compute_units = 1.0, .memory_mb = 64.0, .arch = "", .labels = {"edge"}};
   EXPECT_TRUE(satisfies(platform, 4.0, 1024.0, req));
   req.labels = {"edge", "gpu"};
   EXPECT_TRUE(satisfies(platform, 4.0, 1024.0, req));
@@ -47,7 +51,8 @@ TEST(Qos, AllLabelsRequired) {
 TEST(Qos, ToStringMentionsFields) {
   QosCapability cap{2.0, 512.0, "x86_64", {"edge"}};
   EXPECT_NE(cap.to_string().find("edge"), std::string::npos);
-  QosRequirement req{0.5, 64.0, "", {}};
+  QosRequirement req{
+      .compute_units = 0.5, .memory_mb = 64.0, .arch = "", .labels = {}};
   EXPECT_NE(req.to_string().find("0.50"), std::string::npos);
 }
 
@@ -63,7 +68,8 @@ std::shared_ptr<sorcer::Tasker> make_service(const std::string& name) {
 
 TEST(CybernodeTest, HostsUntilCapacity) {
   Cybernode node("n1", QosCapability{2.0, 1024.0, "x86_64", {}});
-  QosRequirement one{1.0, 100.0};
+  QosRequirement one{
+      .compute_units = 1.0, .memory_mb = 100.0, .arch = "", .labels = {}};
   EXPECT_TRUE(node.can_host(one));
   ASSERT_TRUE(node.host(make_service("a"), one).is_ok());
   ASSERT_TRUE(node.host(make_service("b"), one).is_ok());
@@ -75,18 +81,24 @@ TEST(CybernodeTest, HostsUntilCapacity) {
 
 TEST(CybernodeTest, MemoryAlsoLimits) {
   Cybernode node("n1", QosCapability{100.0, 256.0, "x86_64", {}});
-  ASSERT_TRUE(node.host(make_service("a"), {0.1, 200.0}).is_ok());
-  EXPECT_EQ(node.host(make_service("b"), {0.1, 100.0}).code(),
+  const QosRequirement big{
+      .compute_units = 0.1, .memory_mb = 200.0, .arch = "", .labels = {}};
+  const QosRequirement small{
+      .compute_units = 0.1, .memory_mb = 100.0, .arch = "", .labels = {}};
+  ASSERT_TRUE(node.host(make_service("a"), big).is_ok());
+  EXPECT_EQ(node.host(make_service("b"), small).code(),
             util::ErrorCode::kCapacity);
 }
 
 TEST(CybernodeTest, EvictFreesCapacity) {
   Cybernode node("n1", QosCapability{1.0, 100.0, "x86_64", {}});
   auto svc = make_service("a");
-  ASSERT_TRUE(node.host(svc, {1.0, 50.0}).is_ok());
-  EXPECT_FALSE(node.can_host({1.0, 50.0}));
+  const QosRequirement full{
+      .compute_units = 1.0, .memory_mb = 50.0, .arch = "", .labels = {}};
+  ASSERT_TRUE(node.host(svc, full).is_ok());
+  EXPECT_FALSE(node.can_host(full));
   ASSERT_TRUE(node.evict(svc->service_id()).is_ok());
-  EXPECT_TRUE(node.can_host({1.0, 50.0}));
+  EXPECT_TRUE(node.can_host(full));
   EXPECT_EQ(node.evict(svc->service_id()).code(), util::ErrorCode::kNotFound);
 }
 
@@ -98,7 +110,11 @@ TEST(CybernodeTest, FailCrashesHostedServices) {
   Cybernode node("n1", QosCapability{4.0, 1024.0, "x86_64", {}});
   auto svc = make_service("a");
   ASSERT_TRUE(svc->join(lus, lrm, 2 * kSecond).is_ok());
-  ASSERT_TRUE(node.host(svc, {1.0, 64.0}).is_ok());
+  ASSERT_TRUE(node.host(svc, {.compute_units = 1.0,
+                              .memory_mb = 64.0,
+                              .arch = "",
+                              .labels = {}})
+                  .is_ok());
 
   node.fail();
   EXPECT_FALSE(node.is_alive());
@@ -111,12 +127,14 @@ TEST(CybernodeTest, FailCrashesHostedServices) {
 
 TEST(CybernodeTest, HostOnDeadNodeFails) {
   Cybernode node("n1", QosCapability{4.0, 1024.0, "x86_64", {}});
+  const QosRequirement req{
+      .compute_units = 1.0, .memory_mb = 64.0, .arch = "", .labels = {}};
   node.fail();
-  EXPECT_EQ(node.host(make_service("a"), {1.0, 64.0}).code(),
+  EXPECT_EQ(node.host(make_service("a"), req).code(),
             util::ErrorCode::kUnavailable);
   node.restart();
   EXPECT_TRUE(node.is_alive());
-  EXPECT_TRUE(node.host(make_service("a"), {1.0, 64.0}).is_ok());
+  EXPECT_TRUE(node.host(make_service("a"), req).is_ok());
 }
 
 // --- ProvisionMonitor ------------------------------------------------------------------
@@ -141,7 +159,10 @@ class MonitorTest : public ::testing::Test {
   }
 
   OperationalString opstring(const std::string& name, std::size_t planned,
-                             QosRequirement qos = {0.5, 64.0}) {
+                             QosRequirement qos = {.compute_units = 0.5,
+                                                   .memory_mb = 64.0,
+                                                   .arch = "",
+                                                   .labels = {}}) {
     OperationalString os;
     os.name = name;
     ServiceElement element;
@@ -188,7 +209,9 @@ TEST_F(MonitorTest, ReplicasGetNumberedNames) {
 }
 
 TEST_F(MonitorTest, LoadBalancesAcrossNodes) {
-  ASSERT_TRUE(monitor->deploy(opstring("svc", 3, {1.0, 64.0})).is_ok());
+  const QosRequirement unit{
+      .compute_units = 1.0, .memory_mb = 64.0, .arch = "", .labels = {}};
+  ASSERT_TRUE(monitor->deploy(opstring("svc", 3, unit)).is_ok());
   // Three 1.0-unit services over three 2.0-unit nodes: one each.
   for (const auto& node : nodes) {
     EXPECT_EQ(node->hosted_count(), 1u) << node->provider_name();
@@ -197,7 +220,8 @@ TEST_F(MonitorTest, LoadBalancesAcrossNodes) {
 
 TEST_F(MonitorTest, QosFiltersNodes) {
   // Only nodes with the "edge" label qualify; none have it.
-  QosRequirement req{0.5, 64.0, "", {"edge"}};
+  QosRequirement req{
+      .compute_units = 0.5, .memory_mb = 64.0, .arch = "", .labels = {"edge"}};
   auto status = monitor->deploy(opstring("svc", 1, req));
   EXPECT_EQ(status.code(), util::ErrorCode::kCapacity);
   EXPECT_EQ(monitor->failed_placements(), 1u);
@@ -205,7 +229,9 @@ TEST_F(MonitorTest, QosFiltersNodes) {
 
 TEST_F(MonitorTest, CapacityExhaustionReportsError) {
   // 3 nodes x 2.0 units = 6 units; ask for 7 services of 1.0.
-  auto status = monitor->deploy(opstring("svc", 7, {1.0, 16.0}));
+  const QosRequirement unit{
+      .compute_units = 1.0, .memory_mb = 16.0, .arch = "", .labels = {}};
+  auto status = monitor->deploy(opstring("svc", 7, unit));
   EXPECT_EQ(status.code(), util::ErrorCode::kCapacity);
   EXPECT_EQ(monitor->provision_count(), 6u);
 }
@@ -360,7 +386,10 @@ class MonitorCascadeTest : public MonitorTest {
   /// Deploy a single-instance opstring whose factory records every
   /// instantiation (initial placements and replacements alike).
   void deploy_recording(const std::string& name,
-                        QosRequirement qos = {0.5, 64.0}) {
+                        QosRequirement qos = {.compute_units = 0.5,
+                                              .memory_mb = 64.0,
+                                              .arch = "",
+                                              .labels = {}}) {
     OperationalString os;
     os.name = name;
     ServiceElement element;
@@ -441,7 +470,10 @@ TEST_F(MonitorCascadeTest, NoEligibleNodeDegradesDependentAndRetries) {
       "edge-node", QosCapability{2.0, 1024.0, "x86_64", {"edge"}});
   (void)edge_node->join(lus, lrm, 3600 * kSecond);
 
-  deploy_recording("pinned", QosRequirement{0.5, 64.0, "", {"edge"}});
+  deploy_recording("pinned", QosRequirement{.compute_units = 0.5,
+                                            .memory_mb = 64.0,
+                                            .arch = "",
+                                            .labels = {"edge"}});
   deploy_recording("consumer");
   ASSERT_TRUE(monitor->add_dependency("consumer", "pinned").is_ok());
   sched.run_for(kSecond);
@@ -498,7 +530,8 @@ TEST_F(MonitorCascadeTest, UndeployRacingInFlightReprovisionAborts) {
   ServiceElement element;
   element.name = "victim";
   element.planned = 1;
-  element.qos = QosRequirement{0.5, 64.0};
+  element.qos = QosRequirement{
+      .compute_units = 0.5, .memory_mb = 64.0, .arch = "", .labels = {}};
   bool first = true;
   element.factory = [this, &first](const std::string& instance_name) {
     if (!first) (void)monitor->undeploy("victim");
@@ -536,7 +569,8 @@ TEST_F(MonitorCascadeTest, ReentrantPollIsBarred) {
   ServiceElement element;
   element.name = "svc";
   element.planned = 1;
-  element.qos = QosRequirement{0.5, 64.0};
+  element.qos = QosRequirement{
+      .compute_units = 0.5, .memory_mb = 64.0, .arch = "", .labels = {}};
   element.factory = [this](const std::string& instance_name) {
     monitor->poll_once();  // nested sweep: must be a no-op
     return make_service(instance_name);
@@ -581,7 +615,8 @@ TEST_P(PlacementPropertyTest, UtilizationNeverExceedsOne) {
   ServiceElement element;
   element.name = "s";
   element.planned = services;
-  element.qos = QosRequirement{0.5, 32.0};
+  element.qos = QosRequirement{
+      .compute_units = 0.5, .memory_mb = 32.0, .arch = "", .labels = {}};
   element.factory = [](const std::string& n) { return make_service(n); };
   os.elements.push_back(std::move(element));
   (void)monitor.deploy(std::move(os));
