@@ -1,9 +1,10 @@
 // Ablation studies for the design choices DESIGN.md calls out: the service
-// accessor's resolution cache, the CSP's collection strategy, and the
+// accessor's resolution cache, how 64 sensor reads are collected, and the
 // lookup service's expiry-sweep period. Each knob is toggled with the rest
 // of the stack held fixed.
 
 #include <cstdio>
+#include <optional>
 
 #include "obs/metrics.h"
 #include "util/strings.h"
@@ -58,46 +59,66 @@ void cache_ablation() {
 }
 
 void collection_ablation() {
-  std::puts("B. CSP collection strategy (64 sensors, one read):");
+  std::puts("B. Collecting 64 sensors, one read:");
+  // Two ways a requestor collects the same 64 getValue reads: through a CSP
+  // (the children are scattered by the CSP itself, in parallel or in
+  // sequence), or as a job of 64 tasks the bench exerts on a rendezvous peer
+  // (a Jobber pushes them, a Spacer's 4-worker crew pulls them).
   struct Case {
     const char* label;
     sorcer::Flow flow;
-    sorcer::Access access;
+    std::optional<sorcer::Access> job_access;  // nullopt = read the CSP
   };
   const Case cases[] = {
-      {"parallel push (Jobber)", sorcer::Flow::kParallel,
+      {"CSP parallel", sorcer::Flow::kParallel, std::nullopt},
+      {"CSP sequential", sorcer::Flow::kSequence, std::nullopt},
+      {"Jobber push (job of 64 tasks)", sorcer::Flow::kParallel,
        sorcer::Access::kPush},
-      {"sequence push (Jobber)", sorcer::Flow::kSequence,
-       sorcer::Access::kPush},
-      {"parallel pull (Spacer, 4 workers)", sorcer::Flow::kParallel,
+      {"Spacer pull, 4 workers (job of 64 tasks)", sorcer::Flow::kParallel,
        sorcer::Access::kPull},
   };
   std::vector<std::vector<std::string>> rows;
   for (const Case& c : cases) {
     core::DeploymentConfig config;
     config.sampling.sample_period = 0;
-    config.collection.strategy = {c.flow, c.access, true};
+    config.collection.flow = c.flow;
     core::Deployment lab(config);
     for (int i = 0; i < 64; ++i) {
       lab.add_temperature_sensor("s" + std::to_string(i));
     }
-    auto csp = lab.manager().create_composite("C");
-    for (int i = 0; i < 64; ++i) {
-      (void)csp->add_component("s" + std::to_string(i));
+    sorcer::ExertionPtr read;
+    if (c.job_access) {
+      auto job = sorcer::Job::make("collect", {.flow = c.flow,
+                                               .access = *c.job_access,
+                                               .fail_fast = false});
+      for (int i = 0; i < 64; ++i) {
+        const std::string name = "s" + std::to_string(i);
+        job->add(sorcer::Task::make(
+            name, sorcer::Signature{core::kSensorDataAccessorType,
+                                    core::op::kGetValue, name}));
+      }
+      read = job;
+    } else {
+      auto csp = lab.manager().create_composite("C");
+      for (int i = 0; i < 64; ++i) {
+        (void)csp->add_component("s" + std::to_string(i));
+      }
+      read = sorcer::Task::make(
+          "read", sorcer::Signature{core::kSensorDataAccessorType,
+                                    core::op::kGetValue, "C"});
     }
-    auto task = sorcer::Task::make(
-        "read", sorcer::Signature{core::kSensorDataAccessorType,
-                                  core::op::kGetValue, "C"});
-    (void)sorcer::exert(task, lab.accessor());
+    (void)sorcer::exert(read, lab.accessor());
     rows.push_back({c.label,
-                    task->status() == sorcer::ExertStatus::kDone ? "OK"
+                    read->status() == sorcer::ExertStatus::kDone ? "OK"
                                                                  : "FAIL",
-                    util::format_duration(task->latency())});
+                    util::format_duration(read->latency())});
   }
-  std::puts(util::render_table({"strategy", "status", "read latency"}, rows)
+  std::puts(util::render_table({"collection", "status", "read latency"}, rows)
                 .c_str());
-  std::puts("The default (parallel push) pays one fan-out level; sequence "
-            "pays the sum; pull sits between, set by the worker crew.\n");
+  std::puts("Parallel collection pays one fan-out level and sequential "
+            "the sum. A CSP read adds the CSP's own getValue service time; a "
+            "job adds the hop to its rendezvous peer, and pull is set by the "
+            "worker crew.\n");
 }
 
 void sweep_period_ablation() {
@@ -150,7 +171,7 @@ void sweep_period_ablation() {
 }  // namespace
 
 int main() {
-  std::puts("=== Ablations: accessor cache / collection strategy / "
+  std::puts("=== Ablations: accessor cache / collection path / "
             "sweep period ===\n");
   cache_ablation();
   collection_ablation();

@@ -2,13 +2,12 @@
 // star hammers: Façade getValue → CSP sensor computation → fan-out to the
 // composed ESPs.
 //
-//   * cold reads: every read pays a full federated fan-out (freshness 0);
+//   * cold reads: every read pays a full fan-out (freshness 0) — the CSP
+//     scatters its children as one batch on the fabric;
 //   * warm reads: reads inside the freshness window answer from the cached
 //     collection — expected ≥10× cheaper than cold;
 //   * coalesced reads: N concurrent readers share one in-flight fan-out
 //     (single-flight), measured with google-benchmark's thread mode;
-//   * direct fallback: no rendezvous peer on the network — the CSP issues
-//     its children as one scatter-gather batch on the fabric;
 //   * expression evaluation: tree-walking interpreter (shared and
 //     per-read-environment variants, the old read path) vs the
 //     slot-compiled program (the new one).
@@ -31,13 +30,10 @@ namespace {
 
 /// A deployment with `fanout` flat temperature ESPs composed into one CSP.
 struct ReadLab {
-  ReadLab(std::size_t fanout, util::SimDuration freshness,
-          bool with_rendezvous = true) {
+  ReadLab(std::size_t fanout, util::SimDuration freshness) {
     core::DeploymentConfig config;
     config.sampling.sample_period = 0;  // on-demand probe reads only
     config.collection.freshness = freshness;
-    config.with_jobber = with_rendezvous;
-    config.with_spacer = with_rendezvous;
     lab = std::make_unique<core::Deployment>(config);
     for (std::size_t i = 0; i < fanout; ++i) {
       lab->add_temperature_sensor("S" + std::to_string(i),
@@ -99,20 +95,6 @@ void BM_CoalescedRead(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CoalescedRead)->Threads(1)->Threads(4)->Threads(8);
-
-// --- direct fallback ----------------------------------------------------------
-
-void BM_DirectFanout(benchmark::State& state) {
-  ReadLab lab(static_cast<std::size_t>(state.range(0)), /*freshness=*/0,
-              /*with_rendezvous=*/false);
-  for (auto _ : state) {
-    auto v = lab.csp->get_value();
-    benchmark::DoNotOptimize(v);
-  }
-  state.counters["sim_latency_us"] =
-      static_cast<double>(lab.csp->last_collection_latency());
-}
-BENCHMARK(BM_DirectFanout)->RangeMultiplier(4)->Range(2, 32);
 
 // --- expression evaluation: tree-walk vs slot-compiled -----------------------
 

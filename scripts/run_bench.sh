@@ -6,7 +6,7 @@
 #   SENSORCER_BENCH_FILTER='ColdRead|WarmRead' scripts/run_bench.sh
 #
 # bench_read_path (google-benchmark) covers the hot serving loop — cold vs
-# warm vs coalesced reads, direct fan-out, tree-walk vs slot-compiled
+# warm vs coalesced reads, tree-walk vs slot-compiled
 # evaluation — and lands machine-readable JSON. bench_exertion,
 # bench_lease_churn, bench_header_overhead and bench_failover are
 # report-style benches (virtual-time tables from their own main); their

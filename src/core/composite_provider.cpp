@@ -171,55 +171,36 @@ void CompositeSensorProvider::assume_state_from(
 
 std::vector<std::optional<double>> CompositeSensorProvider::fan_out(
     const std::vector<PlanEntry>& plan, util::SimDuration* latency) {
-  std::vector<std::shared_ptr<sorcer::Task>> tasks;
+  std::vector<sorcer::ExertionPtr> tasks;
   tasks.reserve(plan.size());
   for (const auto& entry : plan) {
     tasks.push_back(sorcer::Task::make(entry.task_name, entry.signature));
   }
 
-  // Prefer the federation: a rendezvous peer coordinates the fan-out.
-  bool federated = false;
-  if (!tasks.empty()) {
-    // Lenient collection must not abort on the first unreachable child;
-    // strictness is enforced after the fan-out, per component.
-    auto strategy = policy_.strategy;
-    strategy.fail_fast = false;
-    auto job = sorcer::Job::make(provider_name() + ".collect", strategy);
-    for (const auto& t : tasks) job->add(t);
-    (void)sorcer::exert(job, accessor_);
-    federated = job->error().code() != util::ErrorCode::kNotFound ||
-                job->status() != sorcer::ExertStatus::kFailed;
-    if (federated) *latency = job->latency();
-  }
-  if (!federated) {
-    // No rendezvous peer on the network: resolve the prebuilt plan to
-    // servicers and issue it as one batch through the invocation pipeline,
-    // scatter-gathered on the fabric. invoke_servicer_all (not exert) keeps
-    // the historical no-substitution semantics and metric counts of the
-    // direct path. The batch already paid its overlapped window in fabric
-    // time, so it costs the slowest child plus one batch dispatch overhead
-    // (the Jobber's parallel model); with no invoker the calls run one
-    // after another and cost the child-latency sum.
-    std::vector<std::pair<std::shared_ptr<sorcer::Servicer>,
-                          sorcer::ExertionPtr>>
-        calls;
-    calls.reserve(tasks.size());
+  // The CSP scatters its children itself, with no rendezvous hop. exert and
+  // exert_all are what the Jobber runs for a job's children, so resolution,
+  // pinned-name no-substitution and desync retries are the same. Sequential
+  // flow pays each child plus one dispatch overhead (Jobber::run_sequence's
+  // model). A wire batch already paid its overlapped window in fabric time,
+  // so it costs the slowest child plus one batch dispatch overhead; with no
+  // invoker the calls run one after another and cost the child-latency sum.
+  util::SimDuration total = 0;
+  if (policy_.flow == sorcer::Flow::kSequence) {
     for (const auto& task : tasks) {
-      auto servicer = accessor_.find_servicer(task->signature());
-      if (servicer.is_ok()) calls.emplace_back(servicer.value(), task);
+      (void)sorcer::exert(task, accessor_);
+      total += task->latency() + sorcer::Jobber::kDispatchOverhead;
     }
-    if (sorcer::invoke_servicer_all(accessor_, calls) ==
-        sorcer::FanOut::kWire) {
-      util::SimDuration slowest = 0;
-      for (const auto& task : tasks) {
-        slowest = std::max(slowest, task->latency());
-      }
-      *latency = slowest + sorcer::Jobber::kDispatchOverhead;
-    } else {
-      util::SimDuration total = 0;
-      for (const auto& task : tasks) total += task->latency();
-      *latency = total;
+    *latency = total;
+  } else {
+    const sorcer::FanOut how = sorcer::exert_all(tasks, accessor_);
+    util::SimDuration slowest = 0;
+    for (const auto& task : tasks) {
+      slowest = std::max(slowest, task->latency());
+      total += task->latency();
     }
+    *latency = how == sorcer::FanOut::kWire
+                   ? slowest + sorcer::Jobber::kDispatchOverhead
+                   : total;
   }
 
   std::vector<std::optional<double>> out;

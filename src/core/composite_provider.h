@@ -15,10 +15,11 @@
 //     cached collection without any fan-out;
 //   * concurrent collections coalesce — N simultaneous readers pay one
 //     fan-out (single-flight);
-//   * with no rendezvous peer on the network, the direct fallback issues the
-//     prebuilt plan as one scatter-gather batch overlapped on the fabric,
-//     under the same slowest-child latency model the Jobber uses, instead of
-//     a sequential child-latency sum.
+//   * the CSP scatters the prebuilt plan to its children itself, as one
+//     scatter-gather batch overlapped on the fabric (exert_all — the
+//     primitive a Jobber runs for a job's children), so a collection costs
+//     the slowest child plus one dispatch overhead, and nested CSPs add one
+//     fan-out level each. No rendezvous peer sits on the read path.
 
 #include <atomic>
 #include <condition_variable>
@@ -39,12 +40,10 @@ namespace sensorcer::core {
 
 /// How a CSP gathers component values.
 struct CollectionPolicy {
-  /// Child requests federate through a rendezvous peer when one is on the
-  /// network (parallel push by default); with no rendezvous available the
-  /// CSP degrades to direct invocation (one overlapped batch on the fabric,
-  /// sequential without an invoker).
-  sorcer::ControlStrategy strategy{sorcer::Flow::kParallel,
-                                   sorcer::Access::kPush, true};
+  /// kParallel scatters the children as one batch overlapped on the fabric
+  /// (slowest child + one dispatch overhead); kSequence exerts them one after
+  /// another (sum of the children + one dispatch overhead each).
+  sorcer::Flow flow = sorcer::Flow::kParallel;
   /// Strict: any unreachable component fails the read. Lenient: missing
   /// components are skipped — but only for the default (average)
   /// computation, since an expression needs every variable bound.
@@ -100,10 +99,10 @@ class CompositeSensorProvider : public sorcer::ServiceProvider,
   /// rebinds to whatever instances currently serve those names).
   void assume_state_from(sorcer::ServiceProvider& predecessor) override;
 
-  /// Modeled latency of the most recent component collection (federated job
-  /// or direct fan-out; zero when the read was served from the freshness
-  /// cache or coalesced onto another reader's flight). Charged on top of
-  /// the getValue operation when the composite is read through an exertion.
+  /// Modeled latency of the most recent component collection (zero when the
+  /// read was served from the freshness cache or coalesced onto another
+  /// reader's flight). Charged on top of the getValue operation when the
+  /// composite is read through an exertion.
   [[nodiscard]] util::SimDuration last_collection_latency() const {
     return last_collection_latency_.load(std::memory_order_relaxed);
   }
@@ -142,8 +141,8 @@ class CompositeSensorProvider : public sorcer::ServiceProvider,
   /// cache and coalescing concurrent callers onto one in-flight fan-out.
   Collected collect();
 
-  /// The actual fan-out: federated when a rendezvous peer exists, else
-  /// direct (overlapped or sequential). Returns values + modeled latency.
+  /// The actual fan-out, overlapped or sequential per the policy's flow.
+  /// Returns values + modeled latency.
   std::vector<std::optional<double>> fan_out(
       const std::vector<PlanEntry>& plan, util::SimDuration* latency);
 

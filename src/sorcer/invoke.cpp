@@ -432,35 +432,4 @@ util::Result<ExertionPtr> invoke_servicer(
   return servicer->service(exertion, txn);
 }
 
-FanOut invoke_servicer_all(
-    ServiceAccessor& accessor,
-    const std::vector<std::pair<std::shared_ptr<Servicer>, ExertionPtr>>&
-        calls,
-    registry::Transaction* txn) {
-  if (calls.empty()) return FanOut::kSequence;
-  RemoteInvoker* invoker = accessor.invoker();
-  if (invoker != nullptr) {
-    // Scatter every request onto the fabric, then gather them with one
-    // shared pump: the round-trips overlap in virtual time.
-    std::vector<PendingCall> pending;
-    pending.reserve(calls.size());
-    for (const auto& [servicer, exertion] : calls) {
-      pending.push_back(invoker->begin_invoke(servicer, exertion, txn));
-    }
-    std::vector<PendingCall*> open;
-    open.reserve(pending.size());
-    for (PendingCall& call : pending) {
-      if (!call.completed()) open.push_back(&call);
-    }
-    if (!open.empty()) invoker->pump_until_all(open);
-    // Outcomes landed on the exertions; return the call shells to the pool.
-    for (PendingCall& call : pending) invoker->recycle(std::move(call));
-    return FanOut::kWire;
-  }
-  for (const auto& [servicer, exertion] : calls) {
-    (void)invoke_servicer(accessor, servicer, exertion, txn);
-  }
-  return FanOut::kSequence;
-}
-
 }  // namespace sensorcer::sorcer

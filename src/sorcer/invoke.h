@@ -2,7 +2,7 @@
 // The service-to-service invocation pipeline.
 //
 // Every exertion dispatch — exert()'s task binding, the Jobber's child
-// dispatch, space workers, the CSP's direct fan-out, facade reads — funnels
+// dispatch, space workers, the CSP's fan-out, facade reads — funnels
 // through invoke_servicer(), which routes the call through the accessor's
 // RemoteInvoker. The call really crosses the simnet fabric: the request
 // context is marshalled by the flat codec (sorcer/codec.h) into a Message,
@@ -199,8 +199,8 @@ class RemoteInvoker {
 
   /// Return a gathered call's shell for reuse: its string/span/result slots
   /// are cleared (capacity retained) and the next begin_invoke() recycles it
-  /// instead of constructing fresh. Callers that batch (exert fan-out,
-  /// invoke_servicer_all) recycle after harvesting outcomes.
+  /// instead of constructing fresh. Callers that batch (exert_all's
+  /// fan-out) recycle after harvesting outcomes.
   void recycle(PendingCall&& call);
 
   /// Per-peer codec state (intern tables + payload buffer pool); exposed so
@@ -296,16 +296,5 @@ util::Result<ExertionPtr> invoke_servicer(
 /// per-call costs on top would double-count); kSequence means the calls ran
 /// one after another as direct calls (no invoker wired).
 enum class FanOut { kSequence, kWire };
-
-/// Batch counterpart of invoke_servicer(): dispatch every (servicer,
-/// exertion) pair and gather them all. With an invoker the calls are
-/// scattered through begin_invoke() and their round-trips overlap on the
-/// fabric; without one they run sequentially. Outcomes land on the
-/// exertions themselves.
-FanOut invoke_servicer_all(
-    ServiceAccessor& accessor,
-    const std::vector<std::pair<std::shared_ptr<Servicer>, ExertionPtr>>&
-        calls,
-    registry::Transaction* txn = nullptr);
 
 }  // namespace sensorcer::sorcer

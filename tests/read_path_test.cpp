@@ -1,8 +1,9 @@
 // Tests for the optimized CSP read path: the freshness-window collection
 // cache (TTL semantics, quality/timestamp stamping, invalidation on
 // composition and expression changes), single-flight coalescing of
-// concurrent readers, the direct wire fan-out and its latency model, and
-// slot re-binding after component removal.
+// concurrent readers, the wire fan-out and its latency model
+// (parallel, nested and sequential), and slot re-binding after component
+// removal.
 
 #include <gtest/gtest.h>
 
@@ -188,7 +189,7 @@ TEST_F(ReadPathTest, ConcurrentReadersCoalesceOntoOneFlight) {
             static_cast<std::uint64_t>(kReaders * kRounds));
 }
 
-// --- direct fallback latency model -----------------------------------------------
+// --- fan-out latency model -------------------------------------------------------
 
 TEST_F(ReadPathTest, DirectWireFanoutCostsSlowestChildPlusOneDispatch) {
   // No rendezvous peer: the CSP scatters its four children onto the fabric
@@ -219,6 +220,129 @@ TEST_F(ReadPathTest, DirectWireFanoutCostsSlowestChildPlusOneDispatch) {
   const util::SimDuration collected = csp->last_collection_latency();
   EXPECT_EQ(collected, child + sorcer::Jobber::kDispatchOverhead);
   EXPECT_LT(collected, 4 * child);
+}
+
+TEST_F(ReadPathTest, CspCollectsWithoutJobberHop) {
+  // A Jobber is on the network, yet a collection scatters straight to the
+  // four children: four wire calls, no job, and the same slowest-child
+  // model as with no rendezvous peer at all.
+  DeploymentConfig config;
+  config.sampling.sample_period = 0;
+  Deployment lab_with_jobber(config);
+  ASSERT_NE(lab_with_jobber.jobber(), nullptr);
+  for (int i = 0; i < 4; ++i) {
+    lab_with_jobber.add_temperature_sensor("S" + std::to_string(i), 20.0 + i);
+  }
+  lab_with_jobber.pump(kSecond);
+
+  auto probe = sorcer::Task::make(
+      "probe", sorcer::Signature{kSensorDataAccessorType, op::kGetValue, "S0"});
+  ASSERT_TRUE(sorcer::exert(probe, lab_with_jobber.accessor()).is_ok());
+  const util::SimDuration child = probe->latency();
+  ASSERT_GT(child, 0);
+
+  auto csp = lab_with_jobber.manager().create_composite("C");
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(csp->add_component("S" + std::to_string(i)).is_ok());
+  }
+  auto& wire_calls = obs::metrics().counter("invoke.wire_calls");
+  auto& jobs = obs::metrics().counter("sorcer.jobber.jobs");
+  const auto wire_calls0 = wire_calls.value();
+  const auto jobs0 = jobs.value();
+  ASSERT_TRUE(csp->get_value().is_ok());
+  EXPECT_EQ(wire_calls.value(), wire_calls0 + 4);
+  EXPECT_EQ(jobs.value(), jobs0);
+  EXPECT_EQ(csp->last_collection_latency(),
+            child + sorcer::Jobber::kDispatchOverhead);
+}
+
+/// A two-level tree: `fanout` composites under "root", each over `fanout`
+/// zero-noise leaves. Returns the root.
+std::shared_ptr<CompositeSensorProvider> two_level_tree(Deployment& lab,
+                                                        int fanout) {
+  int leaf = 0;
+  auto root = lab.manager().create_composite("root");
+  for (int i = 0; i < fanout; ++i) {
+    const std::string inner_name = "inner-" + std::to_string(i);
+    auto inner = lab.manager().create_composite(inner_name);
+    for (int j = 0; j < fanout; ++j, ++leaf) {
+      sensor::SignalModel model;
+      model.base = 10.0 + leaf;
+      model.amplitude = 0.0;
+      model.noise_stddev = 0.0;
+      sensor::Teds teds{sensor::SensorKind::kTemperature, "test", "zero",
+                        std::to_string(leaf), -1e6, 1e6, 0.1, 0};
+      const std::string leaf_name = "leaf-" + std::to_string(leaf);
+      lab.add_sensor(leaf_name,
+                     std::make_unique<sensor::SimulatedProbe>(
+                         sensor::SimulatedDevice{
+                             teds, model, static_cast<std::uint64_t>(leaf + 1)}));
+      EXPECT_TRUE(inner->add_component(leaf_name).is_ok());
+    }
+    EXPECT_TRUE(root->add_component(inner_name).is_ok());
+  }
+  return root;
+}
+
+TEST_F(ReadPathTest, NestedParallelCollectionGrowsWithDepthOnly) {
+  // Each level costs one child read plus one dispatch overhead, however
+  // wide it is: widening adds siblings that overlap on the fabric, so the
+  // root of a 2x2 tree and of an 8x8 tree collect in the same time.
+  util::SimDuration latency[2] = {0, 0};
+  for (int k = 0; k < 2; ++k) {
+    const int fanout = k == 0 ? 2 : 8;
+    DeploymentConfig config;
+    config.sampling.sample_period = 0;
+    Deployment tree_lab(config);
+    auto root = two_level_tree(tree_lab, fanout);
+    // Read the root the way a requestor does: an exertion on the fabric.
+    auto read = sorcer::Task::make(
+        "read",
+        sorcer::Signature{kSensorDataAccessorType, op::kGetValue, "root"});
+    ASSERT_TRUE(sorcer::exert(read, tree_lab.accessor()).is_ok());
+    ASSERT_EQ(read->status(), sorcer::ExertStatus::kDone);
+    // The leaf bases are 10 .. 10 + fanout^2 - 1; their mean is exact.
+    EXPECT_DOUBLE_EQ(read->context().get_double(path::kValue).value_or(-1),
+                     10.0 + (fanout * fanout - 1) / 2.0);
+    latency[k] = root->last_collection_latency();
+
+    // One level down: the same read of one inner composite on its own.
+    auto inner = sorcer::Task::make(
+        "inner",
+        sorcer::Signature{kSensorDataAccessorType, op::kGetValue, "inner-0"});
+    ASSERT_TRUE(sorcer::exert(inner, tree_lab.accessor()).is_ok());
+    EXPECT_EQ(latency[k],
+              inner->latency() + sorcer::Jobber::kDispatchOverhead)
+        << "fan-out " << fanout;
+  }
+  ASSERT_GT(latency[0], 0);
+  EXPECT_EQ(latency[1], latency[0]);
+}
+
+TEST_F(ReadPathTest, SequentialCollectionCostsSumOfChildren) {
+  DeploymentConfig config;
+  config.sampling.sample_period = 0;
+  config.collection.flow = sorcer::Flow::kSequence;
+  Deployment sequential(config);
+  constexpr int kChildren = 4;
+  for (int i = 0; i < kChildren; ++i) {
+    sequential.add_temperature_sensor("S" + std::to_string(i), 20.0 + i);
+  }
+  sequential.pump(kSecond);
+
+  auto probe = sorcer::Task::make(
+      "probe", sorcer::Signature{kSensorDataAccessorType, op::kGetValue, "S0"});
+  ASSERT_TRUE(sorcer::exert(probe, sequential.accessor()).is_ok());
+  const util::SimDuration child = probe->latency();
+  ASSERT_GT(child, 0);
+
+  auto csp = sequential.manager().create_composite("C");
+  for (int i = 0; i < kChildren; ++i) {
+    ASSERT_TRUE(csp->add_component("S" + std::to_string(i)).is_ok());
+  }
+  ASSERT_TRUE(csp->get_value().is_ok());
+  EXPECT_EQ(csp->last_collection_latency(),
+            kChildren * (child + sorcer::Jobber::kDispatchOverhead));
 }
 
 // --- re-binding after composition changes ----------------------------------------
